@@ -9,10 +9,8 @@ pass --no-timing to omit wall-clock fields (making outputs byte-stable).
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -36,19 +34,8 @@ class UsageError(Exception):
     pass
 
 
-def _thread_count() -> int:
-    try:
-        return max(1, int(os.environ.get("GRASSDR_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
 def _optimizer_config(args) -> OptimizerConfig:
     return OptimizerConfig(max_iter=args.max_iter, grad_tol=args.grad_tol)
-
-
-def _clock(enabled: bool):
-    return time.perf_counter() if enabled else None
 
 
 def _elapsed(start, enabled: bool):
@@ -133,38 +120,35 @@ def _rep_seed(seed: int, rep: int) -> int:
     return seed + rep
 
 
-def _fit_ev_row(points, fit_dim, metric, config, timing):
-    start = _clock(timing)
-    report = fit_unsupervised(points, fit_dim, metric=metric, config=config)
-    runtime = _elapsed(start, timing)
+def _ng_row(preset, rep, level, points, fit_dim, metric, config, timing) -> tuple:
+    """One nested-model row: its explained variance, or an ``error: ...`` status."""
+    try:
+        start = time.perf_counter()
+        report = fit_unsupervised(points, fit_dim, metric=metric, config=config)
+        runtime = _elapsed(start, timing)
+    except GrassdrError as exc:
+        return (preset, rep, level, "ng", metric, "", "", f"error: {exc}")
     status = "ok" if report.converged else "no-convergence"
-    return report.explained_variance_ratio, runtime, status
+    return (preset, rep, level, "ng", metric, report.explained_variance_ratio, runtime, status)
 
 
-def _rows_fig3(rep: int, seed: int, config, timing) -> list[tuple]:
+def _rows_fig3(rep: int, args, config) -> list[tuple]:
     rows = []
     for sigma in range(1, 11):
-        data = generate(SynthConfig(N=50, n=10, m=3, p=1, sigma=float(sigma), seed=_rep_seed(seed, rep) * 100 + sigma))
+        data = generate(SynthConfig(N=50, n=10, m=3, p=1, sigma=float(sigma), seed=_rep_seed(args.seed, rep) * 100 + sigma))
         for metric in ("projection", "geodesic"):
-            try:
-                ev, runtime, status = _fit_ev_row(data.points, 3, metric, config, timing)
-                rows.append(("fig3", rep, sigma, "ng", metric, ev, runtime, status))
-            except GrassdrError as exc:
-                rows.append(("fig3", rep, sigma, "ng", metric, "", "", f"error: {exc}"))
+            rows.append(_ng_row("fig3", rep, sigma, data.points, 3, metric, config, args.timing))
     return rows
 
 
-def _rows_fig4(rep: int, seed: int, config, timing) -> list[tuple]:
+def _rows_fig4(rep: int, args, config) -> list[tuple]:
     rows = []
+    timing = args.timing
     for idx, sigma in enumerate((0.01, 0.25, 0.5, 1.0, 1.5, 2.0)):
-        data = generate(SynthConfig(N=50, n=10, m=5, p=2, sigma=sigma, seed=_rep_seed(seed, rep) * 100 + idx))
+        data = generate(SynthConfig(N=50, n=10, m=5, p=2, sigma=sigma, seed=_rep_seed(args.seed, rep) * 100 + idx))
+        rows.append(_ng_row("fig4", rep, sigma, data.points, 3, "projection", config, timing))
         try:
-            ev, runtime, status = _fit_ev_row(data.points, 3, "projection", config, timing)
-            rows.append(("fig4", rep, sigma, "ng", "projection", ev, runtime, status))
-        except GrassdrError as exc:
-            rows.append(("fig4", rep, sigma, "ng", "projection", "", "", f"error: {exc}"))
-        try:
-            start = _clock(timing)
+            start = time.perf_counter()
             model = pga_fit(data.points, 2)
             ev = pga_explained_variance(model, data.points, 2)
             rows.append(("fig4", rep, sigma, "pga", "tpca", ev, _elapsed(start, timing), "ok"))
@@ -173,13 +157,14 @@ def _rows_fig4(rep: int, seed: int, config, timing) -> list[tuple]:
     return rows
 
 
-def _rows_table1(rep: int, seed: int, config, timing) -> list[tuple]:
+def _rows_table1(rep: int, args, config) -> list[tuple]:
     rows = []
+    timing = args.timing
     mdims = (2, 4, 6, 8, 10)
-    data = generate(SynthConfig(N=50, n=30, m=20, p=2, sigma=0.1, seed=_rep_seed(seed, rep)))
+    data = generate(SynthConfig(N=50, n=30, m=20, p=2, sigma=0.1, seed=_rep_seed(args.seed, rep)))
     pga_model = None
     try:
-        start = _clock(timing)
+        start = time.perf_counter()
         pga_model = pga_fit(data.points, max(mdims))
         pga_time = _elapsed(start, timing)
     except GrassdrError as exc:
@@ -191,54 +176,29 @@ def _rows_table1(rep: int, seed: int, config, timing) -> list[tuple]:
             rows.append(("table1", rep, mdim, "pga", "tpca", ev, pga_time, "ok"))
     for mdim in mdims:
         fit_dim = mdim // 2 + 2  # Gr(2, mdim/2 + 2) has dimension mdim
-        try:
-            ev, runtime, status = _fit_ev_row(data.points, fit_dim, "projection", config, timing)
-            rows.append(("table1", rep, mdim, "ng", "projection", ev, runtime, status))
-        except GrassdrError as exc:
-            rows.append(("table1", rep, mdim, "ng", "projection", "", "", f"error: {exc}"))
+        rows.append(_ng_row("table1", rep, mdim, data.points, fit_dim, "projection", config, timing))
     return rows
 
 
-def _rows_custom(rep: int, seed: int, config, timing, args) -> list[tuple]:
-    rows = []
+def _rows_custom(rep: int, args, config) -> list[tuple]:
     metrics = ("projection", "geodesic") if args.metric == "both" else (args.metric,)
     data = generate(SynthConfig(
         N=args.num_points, n=args.ambient_dim, m=args.planted_dim,
-        p=args.subspace_dim, sigma=args.sigma, seed=_rep_seed(seed, rep),
+        p=args.subspace_dim, sigma=args.sigma, seed=_rep_seed(args.seed, rep),
     ))
     fit_dim = args.fit_dim if args.fit_dim is not None else args.planted_dim
-    for metric in metrics:
-        try:
-            ev, runtime, status = _fit_ev_row(data.points, fit_dim, metric, config, timing)
-            rows.append(("custom", rep, args.sigma, "ng", metric, ev, runtime, status))
-        except GrassdrError as exc:
-            rows.append(("custom", rep, args.sigma, "ng", metric, "", "", f"error: {exc}"))
-    return rows
+    return [_ng_row("custom", rep, args.sigma, data.points, fit_dim, metric, config, args.timing) for metric in metrics]
+
+
+PRESETS = {"fig3": _rows_fig3, "fig4": _rows_fig4, "table1": _rows_table1}
 
 
 def cmd_synth(args) -> int:
-    config = _optimizer_config(args)
-    timing = args.timing
     if args.preset is None and args.ambient_dim is None:
         raise UsageError("choose a --preset or give explicit dimensions")
-
-    def run_rep(rep: int) -> list[tuple]:
-        if args.preset == "fig3":
-            return _rows_fig3(rep, args.seed, config, timing)
-        if args.preset == "fig4":
-            return _rows_fig4(rep, args.seed, config, timing)
-        if args.preset == "table1":
-            return _rows_table1(rep, args.seed, config, timing)
-        return _rows_custom(rep, args.seed, config, timing, args)
-
-    threads = _thread_count()
-    reps = range(args.reps)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            chunks = list(pool.map(run_rep, reps))
-    else:
-        chunks = [run_rep(rep) for rep in reps]
-    rows = [row for chunk in chunks for row in chunk]
+    config = _optimizer_config(args)
+    rows_for = PRESETS.get(args.preset, _rows_custom)
+    rows = [row for rep in range(args.reps) for row in rows_for(rep, args, config)]
     rows.sort(key=lambda r: (r[0], float(r[2]), r[1], r[3], r[4]))
     io.write_table(args.out, SYNTH_HEADER, rows)
     return EXIT_OK
@@ -247,6 +207,24 @@ def cmd_synth(args) -> int:
 # ---------------------------------------------------------------------------
 # shape pipeline
 # ---------------------------------------------------------------------------
+
+
+def _nested_row(method: str, report, points, labels, args) -> tuple:
+    """Shapes row of a nested fit: LOO geodesic kNN accuracy of the projections (if labeled) and EV."""
+    acc = ""
+    if labels is not None:
+        acc, _ = gknn_loo(project_dataset(report.map, points), labels, k=args.knn)
+    return (method, acc, report.explained_variance_ratio)
+
+
+def _pga_row(method: str, model, points, labels, args) -> tuple:
+    """Shapes row of a PGA-type model: LOO kNN accuracy on its coordinates (if labeled) and EV."""
+    acc = ""
+    if labels is not None:
+        coeffs = pga_coordinates(model, points)
+        dists = np.linalg.norm(coeffs[:, None, :] - coeffs[None, :, :], axis=-1)
+        acc, _ = knn_loo_from_distances(dists, labels, args.knn)
+    return (method, acc, pga_explained_variance(model, points, args.m))
 
 
 def cmd_shapes(args) -> int:
@@ -260,26 +238,15 @@ def cmd_shapes(args) -> int:
         raise UsageError(f"--m must be in [1, {ambient - 1}], got {args.m}")
     config = _optimizer_config(args)
     rng = np.random.default_rng(args.seed)
-    have_knn = labels is not None
 
     rows = []
-    if have_knn:
+    if labels is not None:
         acc_raw, _ = gknn_loo(points, labels, k=args.knn)
         rows.append(("raw", acc_raw, ""))
 
     report = fit_unsupervised(points, fit_dim, metric=args.metric, config=config, rng=rng, restarts=args.restarts)
-    acc = ""
-    if have_knn:
-        acc, _ = gknn_loo(project_dataset(report.map, points), labels, k=args.knn)
-    rows.append(("ng", acc, report.explained_variance_ratio))
-
-    pga_model = pga_fit(points, args.m)
-    acc = ""
-    if have_knn:
-        coeffs = pga_coordinates(pga_model, points)
-        dists = np.linalg.norm(coeffs[:, None, :] - coeffs[None, :, :], axis=-1)
-        acc, _ = knn_loo_from_distances(dists, labels, args.knn)
-    rows.append(("pga", acc, pga_explained_variance(pga_model, points, args.m)))
+    rows.append(_nested_row("ng", report, points, labels, args))
+    rows.append(_pga_row("pga", pga_fit(points, args.m), points, labels, args))
 
     if args.supervised:
         sng = fit_supervised(
@@ -287,14 +254,8 @@ def cmd_shapes(args) -> int:
             k_w=args.k_within, k_b=args.k_between,
             config=config, rng=rng, restarts=args.restarts,
         )
-        acc, _ = gknn_loo(project_dataset(sng.map, points), labels, k=args.knn)
-        rows.append(("sng", acc, sng.explained_variance_ratio))
-
-        spga_model = spga_fit(points, labels, args.m)
-        coeffs = pga_coordinates(spga_model, points)
-        dists = np.linalg.norm(coeffs[:, None, :] - coeffs[None, :, :], axis=-1)
-        acc, _ = knn_loo_from_distances(dists, labels, args.knn)
-        rows.append(("spga", acc, pga_explained_variance(spga_model, points, args.m)))
+        rows.append(_nested_row("sng", sng, points, labels, args))
+        rows.append(_pga_row("spga", spga_fit(points, labels, args.m), points, labels, args))
 
     io.write_table(args.out, ("method", "knn_accuracy", "explained_variance"), rows)
     return EXIT_OK
@@ -322,6 +283,7 @@ def _add_common_fit_options(sub, allow_both_metrics: bool = False) -> None:
     sub.add_argument("--max-iter", type=int, default=300)
     sub.add_argument("--grad-tol", type=float, default=1e-6)
     sub.add_argument("--restarts", type=int, default=1)
+    sub.add_argument("--no-timing", dest="timing", action="store_false")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -337,24 +299,18 @@ def build_parser() -> argparse.ArgumentParser:
     fit.add_argument("--k-between", type=int, default=5)
     fit.add_argument("--out", default="model.json")
     fit.add_argument("--report", default=None)
-    fit.add_argument("--no-timing", dest="timing", action="store_false")
     _add_common_fit_options(fit)
     fit.set_defaults(func=cmd_fit)
 
-    proj = subs.add_parser("project", help="project a dataset through a fitted model")
-    proj.add_argument("model")
-    proj.add_argument("dataset")
-    proj.add_argument("--out", required=True)
-    proj.set_defaults(func=cmd_project)
-
-    recon = subs.add_parser("reconstruct", help="reconstruct a dataset through a fitted model")
-    recon.add_argument("model")
-    recon.add_argument("dataset")
-    recon.add_argument("--out", required=True)
-    recon.set_defaults(func=cmd_reconstruct)
+    for name, func in (("project", cmd_project), ("reconstruct", cmd_reconstruct)):
+        sub = subs.add_parser(name, help=f"{name} a dataset through a fitted model")
+        sub.add_argument("model")
+        sub.add_argument("dataset")
+        sub.add_argument("--out", required=True)
+        sub.set_defaults(func=func)
 
     synth = subs.add_parser("synth", help="run the synthetic-data protocol and emit a tidy CSV")
-    synth.add_argument("--preset", choices=("fig3", "fig4", "table1"), default=None)
+    synth.add_argument("--preset", choices=tuple(PRESETS), default=None)
     synth.add_argument("--num-points", type=int, default=50)
     synth.add_argument("--ambient-dim", type=int, default=None)
     synth.add_argument("--planted-dim", type=int, default=None)
@@ -363,7 +319,6 @@ def build_parser() -> argparse.ArgumentParser:
     synth.add_argument("--fit-dim", type=int, default=None)
     synth.add_argument("--reps", type=int, default=20)
     synth.add_argument("--out", required=True)
-    synth.add_argument("--no-timing", dest="timing", action="store_false")
     _add_common_fit_options(synth, allow_both_metrics=True)
     synth.set_defaults(func=cmd_synth)
 
@@ -375,7 +330,6 @@ def build_parser() -> argparse.ArgumentParser:
     shapes.add_argument("--k-within", type=int, default=5)
     shapes.add_argument("--k-between", type=int, default=5)
     shapes.add_argument("--out", required=True)
-    shapes.add_argument("--no-timing", dest="timing", action="store_false")
     _add_common_fit_options(shapes)
     shapes.set_defaults(func=cmd_shapes)
 
@@ -410,3 +364,7 @@ def main(argv=None) -> int:
 
 def entrypoint() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entrypoint()

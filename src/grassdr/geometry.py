@@ -69,7 +69,7 @@ class GrassmannPoint:
         if not 1 <= p <= n:
             raise ShapeError(f"need 1 <= p <= n, got basis shape {(n, p)}")
         gram = adjoint(b) @ b
-        if np.abs(gram - np.eye(p)).max() > 1e-10:
+        if not np.abs(gram - np.eye(p)).max() <= 1e-10:  # NaN and inf fail too
             raise DegenerateInputError(
                 "basis columns are not orthonormal; use orthonormalize() first"
             )
@@ -144,11 +144,15 @@ def orthonormal_columns(m, rank_rtol: float = RANK_RTOL) -> np.ndarray:
         raise DegenerateInputError(
             f"matrix is numerically rank deficient (singular values {s[-1]:.3e} vs {s[0]:.3e})"
         )
+    return _canonical_qr(a)
+
+
+def _canonical_qr(a: np.ndarray) -> np.ndarray:
+    """Q of the thin QR of a matrix or a stack of matrices, phased so diag(R) is real and nonnegative."""
     q, r = np.linalg.qr(a)
-    d = np.diagonal(r).copy()
+    d = np.diagonal(r, axis1=-2, axis2=-1).copy()
     d[d == 0] = 1.0
-    phase = d / np.abs(d)
-    return q * np.conj(phase)[None, :]
+    return q * np.conj(d / np.abs(d))[..., None, :]
 
 
 def orthonormalize(m, rank_rtol: float = RANK_RTOL) -> GrassmannPoint:
@@ -302,11 +306,13 @@ def frechet_mean(
     points: Sequence[GrassmannPoint],
     tol: float = 1e-9,
     max_iter: int = 200,
+    step: float = 1.0,
 ) -> GrassmannPoint:
-    """Karcher mean: fixed point of mu <- exp_mu(mean_i log_mu(X_i)).
+    """Karcher mean: fixed point of mu <- exp_mu(step * mean_i log_mu(X_i)).
 
-    Unit step size, initialized at the first point; returns once the gradient
-    norm drops to ``tol``. Raises ConvergenceError (carrying the last iterate)
+    Initialized at the first point; returns once the gradient norm drops to
+    ``tol``. A step below one damps the iteration on spread data where the
+    unit step cycles. Raises ConvergenceError (carrying the last iterate)
     after ``max_iter`` sweeps, and propagates CutLocusError from the log map.
     """
     if len(points) == 0:
@@ -318,8 +324,8 @@ def frechet_mean(
         g = logs.mean(axis=0)
         if np.linalg.norm(g) <= tol:
             return mu
-        mu = exp_map(mu, TangentVector(mu, g))
+        mu = exp_map(mu, TangentVector(mu, step * g))
     raise ConvergenceError(
-        f"Karcher iteration did not reach gradient norm {tol:.1e} in {max_iter} steps",
+        f"Karcher iteration (step {step}) did not reach gradient norm {tol:.1e} in {max_iter} steps",
         result=mu,
     )

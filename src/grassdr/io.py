@@ -54,9 +54,27 @@ def _load_json(path) -> dict:
         raise FormatError(f"invalid JSON: {exc}", str(path)) from exc
 
 
+def _check_header(doc, where: str, counts: Sequence[str], lists: Sequence[str]) -> None:
+    """Require a JSON object with a known ``field``, non-negative int ``counts`` and list-valued ``lists``."""
+    if not isinstance(doc, dict):
+        raise FormatError("top level must be a JSON object", where)
+    for key in ("field", *counts, *lists):
+        if key not in doc:
+            raise FormatError(f"missing key {key!r}", where)
+    if doc["field"] not in ("real", "complex"):
+        raise FormatError(f"unknown field {doc['field']!r}", where)
+    for key in counts:
+        value = doc[key]
+        if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+            raise FormatError(f"{key!r} must be a non-negative integer, got {value!r}", where)
+    for key in lists:
+        if not isinstance(doc[key], list):
+            raise FormatError(f"{key!r} must be a list", where)
+
+
 def _restore_basis(mat: np.ndarray, where: str) -> GrassmannPoint:
     drift = float(np.abs(adjoint(mat) @ mat - np.eye(mat.shape[1])).max())
-    if drift > LOAD_DRIFT_LIMIT:
+    if not drift <= LOAD_DRIFT_LIMIT:  # NaN and inf fail too
         raise FormatError(f"stored basis is not orthonormal (drift {drift:.3e})", where)
     if drift > 1e-11:
         mat = orthonormal_columns(mat)
@@ -86,12 +104,13 @@ def _jsonable_label(v):
 def load_dataset(path) -> tuple[list[GrassmannPoint], np.ndarray | None]:
     doc = _load_json(path)
     where = str(path)
-    for key in ("field", "n", "p", "N", "points"):
-        if key not in doc:
-            raise FormatError(f"missing key {key!r}", where)
+    _check_header(doc, where, ("n", "p", "N"), ("points",))
     field = doc["field"]
-    if field not in ("real", "complex"):
-        raise FormatError(f"unknown field {field!r}", where)
+    if not 1 <= doc["p"] <= doc["n"]:
+        raise FormatError(f"need 1 <= p <= n, got p = {doc['p']}, n = {doc['n']}", where)
+    labels = doc.get("labels")
+    if labels is not None and not isinstance(labels, list):
+        raise FormatError("'labels' must be a list or null", where)
     if len(doc["points"]) != doc["N"]:
         raise FormatError(f"N = {doc['N']} but {len(doc['points'])} points stored", where)
     points = []
@@ -100,7 +119,6 @@ def load_dataset(path) -> tuple[list[GrassmannPoint], np.ndarray | None]:
         if mat.shape != (doc["n"], doc["p"]):
             raise FormatError(f"point {i} has shape {mat.shape}, expected {(doc['n'], doc['p'])}", where)
         points.append(_restore_basis(mat, f"{where}: point {i}"))
-    labels = doc.get("labels")
     if labels is not None:
         if len(labels) != doc["N"]:
             raise FormatError("labels length differs from N", where)
@@ -125,9 +143,7 @@ def save_model(path, nmap: NestedMap, metadata: dict | None = None) -> None:
 def load_model(path) -> tuple[NestedMap, dict]:
     doc = _load_json(path)
     where = str(path)
-    for key in ("field", "n", "m", "p", "A", "B"):
-        if key not in doc:
-            raise FormatError(f"missing key {key!r}", where)
+    _check_header(doc, where, ("n", "m", "p"), ("A", "B"))
     a = _decode_matrix(doc["A"], doc["field"], f"{where}: A")
     b = _decode_matrix(doc["B"], doc["field"], f"{where}: B")
     if a.shape != (doc["n"], doc["m"]) or b.shape != (doc["n"], doc["p"]):

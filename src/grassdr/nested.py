@@ -35,6 +35,7 @@ from .errors import (
 from .geometry import (
     GrassmannPoint,
     _angles_from_cosines,
+    _canonical_qr,
     adjoint,
     frechet_mean,
     orthonormalize,
@@ -68,9 +69,10 @@ class NestedMap:
         b = np.asarray(self.B, dtype=a.dtype)
         if a.ndim != 2 or b.ndim != 2 or b.shape[0] != a.shape[0]:
             raise ShapeError(f"incompatible shapes A {a.shape}, B {b.shape}")
-        if np.abs(adjoint(a) @ a - np.eye(a.shape[1])).max() > 1e-10:
+        # Written as "not <=" so that NaN and inf fail the checks.
+        if not np.abs(adjoint(a) @ a - np.eye(a.shape[1])).max() <= 1e-10:
             raise ShapeError("A must have orthonormal columns")
-        if b.shape[1] and np.abs(adjoint(a) @ b).max() > 1e-8:
+        if b.shape[1] and not np.abs(adjoint(a) @ b).max() <= 1e-8:
             raise ShapeError("B must lie in the nullspace of A^H; use from_unprojected()")
         a = a.copy()
         b = b.copy()
@@ -163,10 +165,7 @@ def project_dataset(nmap: NestedMap, points: Sequence[GrassmannPoint]) -> list[G
         raise DegenerateProjectionError(
             f"data point {bad[0]}: subspace nearly orthogonal to span(A)", index=int(bad[0])
         )
-    q, r = np.linalg.qr(y)
-    d = np.diagonal(r, axis1=-2, axis2=-1).copy()
-    d[d == 0] = 1.0
-    q = q * np.conj(d / np.abs(d))[:, None, :]
+    q = _canonical_qr(y)
     return [GrassmannPoint(q[i]) for i in range(q.shape[0])]
 
 
@@ -225,34 +224,25 @@ def _reconstruction_phi(a: np.ndarray, b_tilde: np.ndarray, stacked: np.ndarray)
     return m_mat, w, winv_s, 0.5 * (phi + adjoint(phi))
 
 
-def _unsupervised_value(a: np.ndarray, b_tilde: np.ndarray, stacked: np.ndarray, metric: str) -> float:
+def _geodesic_reconstruction_loss(a: np.ndarray, b_tilde: np.ndarray, stacked: np.ndarray) -> float:
     _, _, _, phi = _reconstruction_phi(a, b_tilde, stacked)
-    p = phi.shape[-1]
-    if metric == "projection":
-        return float(np.maximum(p - np.einsum("ikk->i", phi).real, 0.0).mean())
     lam = np.clip(np.linalg.eigvalsh(phi), 0.0, 1.0)
     return float((np.arccos(np.sqrt(lam)) ** 2).sum(axis=-1).mean())
 
 
-def _fd_pair_gradient(func, a: np.ndarray, b: np.ndarray, h: float = 1e-6):
-    """Central-difference Euclidean gradients of func(a, b) in both factors."""
-    grads = []
-    for which, mat in enumerate((a, b)):
-        grad = np.zeros_like(mat)
-        directions = (1.0, 1.0j) if np.iscomplexobj(mat) else (1.0,)
-        it = np.nditer(np.zeros(mat.shape), flags=["multi_index"])
-        for _ in it:
-            idx = it.multi_index
-            for direction in directions:
-                e = np.zeros_like(mat)
-                e[idx] = direction
-                if which == 0:
-                    deriv = (func(a + h * e, b) - func(a - h * e, b)) / (2.0 * h)
-                else:
-                    deriv = (func(a, b + h * e) - func(a, b - h * e)) / (2.0 * h)
-                grad[idx] += deriv * direction
-        grads.append(grad)
-    return grads[0], grads[1]
+def _fd_matrix_gradient(func, a: np.ndarray, h: float = 1e-6) -> np.ndarray:
+    """Central-difference Euclidean gradient of a scalar function of a matrix."""
+    g = np.zeros_like(a)
+    it = np.nditer(np.zeros(a.shape), flags=["multi_index"])
+    directions = (1.0, 1.0j) if np.iscomplexobj(a) else (1.0,)
+    for _ in it:
+        idx = it.multi_index
+        for direction in directions:
+            e = np.zeros_like(a)
+            e[idx] = direction
+            deriv = (func(a + h * e) - func(a - h * e)) / (2.0 * h)
+            g[idx] += deriv * direction
+    return g
 
 
 def unsupervised_loss_and_grad(
@@ -278,8 +268,9 @@ def unsupervised_loss_and_grad(
     n_pts = stacked.shape[0]
 
     if metric == "geodesic" and geodesic_grad == "fd":
-        value = _unsupervised_value(a, b_tilde, stacked, metric)
-        g_a, g_b = _fd_pair_gradient(lambda x, y: _unsupervised_value(x, y, stacked, metric), a, b_tilde)
+        value = _geodesic_reconstruction_loss(a, b_tilde, stacked)
+        g_a = _fd_matrix_gradient(lambda x: _geodesic_reconstruction_loss(x, b_tilde, stacked), a)
+        g_b = _fd_matrix_gradient(lambda y: _geodesic_reconstruction_loss(a, y, stacked), b_tilde)
         return value, (g_a, g_b)
 
     m_mat, w, winv_s, phi = _reconstruction_phi(a, b_tilde, stacked)
@@ -356,37 +347,15 @@ def _projected_frames(a: np.ndarray, stacked: np.ndarray):
     return y, w
 
 
-def _supervised_value(a: np.ndarray, stacked: np.ndarray, affinity: np.ndarray, metric: str) -> float:
-    y, w = _projected_frames(a, stacked)
+def _geodesic_pairwise_loss(a: np.ndarray, stacked: np.ndarray, affinity: np.ndarray) -> float:
+    y, _ = _projected_frames(a, stacked)
     n_pts = stacked.shape[0]
-    p = stacked.shape[2]
-    if metric == "projection":
-        winv = np.linalg.inv(w)
-        e = np.einsum("imp,ipq->imq", y, winv)
-        pi = np.einsum("imp,iqp->imq", e, np.conj(y))
-        t = np.einsum("imq,jqm->ij", pi, pi).real
-        return float((affinity * (p - t)).sum() / n_pts**2)
     q, r = np.linalg.qr(y)
     gram = np.einsum("imp,jmq->ijpq", np.conj(q), q)
     s = np.linalg.svd(gram, compute_uv=False)
     theta = np.arccos(np.clip(s, 0.0, 1.0))
     d2 = (theta**2).sum(axis=-1)
     return float((affinity * d2).sum() / n_pts**2)
-
-
-def _fd_matrix_gradient(func, a: np.ndarray, h: float = 1e-6) -> np.ndarray:
-    """Central-difference Euclidean gradient of a scalar function of a matrix."""
-    g = np.zeros_like(a)
-    it = np.nditer(np.zeros(a.shape), flags=["multi_index"])
-    directions = (1.0, 1.0j) if np.iscomplexobj(a) else (1.0,)
-    for _ in it:
-        idx = it.multi_index
-        for direction in directions:
-            e = np.zeros_like(a)
-            e[idx] = direction
-            deriv = (func(a + h * e) - func(a - h * e)) / (2.0 * h)
-            g[idx] += deriv * direction
-    return g
 
 
 def supervised_loss_and_grad(
@@ -411,8 +380,8 @@ def supervised_loss_and_grad(
     g_b = np.zeros((a.shape[0], 0), dtype=a.dtype)
 
     if metric == "geodesic":
-        value = _supervised_value(a, stacked, affinity, metric)
-        g_a = _fd_matrix_gradient(lambda m: _supervised_value(m, stacked, affinity, metric), a)
+        value = _geodesic_pairwise_loss(a, stacked, affinity)
+        g_a = _fd_matrix_gradient(lambda m: _geodesic_pairwise_loss(m, stacked, affinity), a)
         return value, (g_a, g_b)
 
     y, w = _projected_frames(a, stacked)
@@ -447,40 +416,21 @@ def loss_supervised(
 # ---------------------------------------------------------------------------
 
 
-def _karcher_damped(
-    points: Sequence[GrassmannPoint],
-    tol: float = 1e-9,
-    max_iter: int = 1000,
-    step: float = 0.5,
-) -> GrassmannPoint:
-    """Damped Karcher iteration for spread data where the unit step cycles."""
-    from .geometry import TangentVector, _batched_log_mats, exp_map
-
-    stacked = stack_points(points)
-    mu = points[0]
-    for _ in range(max_iter):
-        grad = _batched_log_mats(mu.basis, stacked).mean(axis=0)
-        if np.linalg.norm(grad) <= tol:
-            return mu
-        mu = exp_map(mu, TangentVector(mu, step * grad))
-    raise ConvergenceError(f"damped Karcher iteration stalled after {max_iter} steps", result=mu)
+# (rotated starts, step, max_iter) tried in order: the unit step first, then
+# a damped step for spread data where the unit step cycles.
+_KARCHER_SCHEDULE = ((4, 1.0, 200), (2, 0.5, 1000))
 
 
 def _frechet_with_restarts(points: Sequence[GrassmannPoint]) -> GrassmannPoint:
     """Karcher mean, retrying other inits and a damped step if the default stalls."""
     last: Exception | None = None
-    for start in range(min(4, len(points))):
-        rotated = list(points[start:]) + list(points[:start])
-        try:
-            return frechet_mean(rotated)
-        except (CutLocusError, ConvergenceError) as exc:
-            last = exc
-    for start in range(min(2, len(points))):
-        rotated = list(points[start:]) + list(points[:start])
-        try:
-            return _karcher_damped(rotated)
-        except (CutLocusError, ConvergenceError) as exc:
-            last = exc
+    for starts, step, max_iter in _KARCHER_SCHEDULE:
+        for start in range(min(starts, len(points))):
+            rotated = list(points[start:]) + list(points[:start])
+            try:
+                return frechet_mean(rotated, max_iter=max_iter, step=step)
+            except (CutLocusError, ConvergenceError) as exc:
+                last = exc
     raise last  # type: ignore[misc]
 
 
@@ -521,12 +471,37 @@ def _fit_dims(stacked: np.ndarray, m: int) -> tuple[int, int]:
     return n, p
 
 
-def _run_minimize(loss, init: ProductPoint, config: OptimizerConfig) -> OptimizeResult:
-    try:
-        return minimize(loss, init, config)
-    except ConvergenceError as exc:
-        # Line search stalled at numerical precision: keep the best iterate.
-        return exc.result
+def _best_of_restarts(
+    loss,
+    stacked: np.ndarray,
+    m: int,
+    width: int,
+    config: OptimizerConfig | None,
+    rng: np.random.Generator | None,
+    restarts: int,
+) -> OptimizeResult:
+    """Minimize ``loss(A, B)`` from several starts and keep the lowest final loss.
+
+    A starts at the SVD init and then at ``restarts - 1`` uniform Stiefel
+    draws from ``rng``; B (n x ``width``) starts at zero.
+    """
+    n = stacked.shape[1]
+    field = "complex" if np.iscomplexobj(stacked) else "real"
+    inits = [_svd_init(stacked, m)]
+    if restarts > 1:
+        rng = rng or np.random.default_rng(0)
+        inits += [sample_stiefel_uniform(n, m, field, rng=rng).basis for _ in range(restarts - 1)]
+
+    best: OptimizeResult | None = None
+    for a0 in inits:
+        try:
+            result = minimize(loss, ProductPoint(a0, np.zeros((n, width), dtype=stacked.dtype)), config)
+        except ConvergenceError as exc:
+            # Line search stalled at numerical precision: keep the best iterate.
+            result = exc.result
+        if best is None or result.loss_trace[-1] < best.loss_trace[-1]:
+            best = result
+    return best
 
 
 def fit_unsupervised(
@@ -546,24 +521,12 @@ def fit_unsupervised(
     """
     _check_metric(metric)
     stacked = stack_points(dataset)
-    n, p = _fit_dims(stacked, m)
-    config = config or OptimizerConfig()
-    field = "complex" if np.iscomplexobj(stacked) else "real"
-
-    inits = [_svd_init(stacked, m)]
-    if restarts > 1:
-        rng = rng or np.random.default_rng(0)
-        inits += [sample_stiefel_uniform(n, m, field, rng=rng).basis for _ in range(restarts - 1)]
+    _, p = _fit_dims(stacked, m)
 
     def loss(a, b):
         return unsupervised_loss_and_grad(a, b, stacked, metric)
 
-    best: OptimizeResult | None = None
-    for a0 in inits:
-        result = _run_minimize(loss, ProductPoint(a0, np.zeros((n, p), dtype=stacked.dtype)), config)
-        if best is None or result.loss_trace[-1] < best.loss_trace[-1]:
-            best = result
-
+    best = _best_of_restarts(loss, stacked, m, p, config, rng, restarts)
     nmap = NestedMap.from_unprojected(best.point.A, best.point.B)
     ratio = explained_variance_ratio(nmap, dataset)
     return FitReport(nmap, best.loss_trace, ratio, best.iterations, best.converged)
@@ -595,26 +558,13 @@ def fit_supervised(
         raise SupervisionDegenerateError(
             "supervised fit needs at least two classes; use fit_unsupervised instead"
         )
-    config = config or OptimizerConfig()
-    field = "complex" if np.iscomplexobj(stacked) else "real"
-
     distances = pairwise_distances(stacked, metric="projection")
     affinity = build_affinity(labels, distances, k_w, k_b)
-
-    inits = [_svd_init(stacked, m)]
-    if restarts > 1:
-        rng = rng or np.random.default_rng(0)
-        inits += [sample_stiefel_uniform(n, m, field, rng=rng).basis for _ in range(restarts - 1)]
 
     def loss(a, b):
         return supervised_loss_and_grad(a, stacked, affinity, metric)
 
-    best: OptimizeResult | None = None
-    for a0 in inits:
-        result = _run_minimize(loss, ProductPoint(a0, np.zeros((n, 0), dtype=stacked.dtype)), config)
-        if best is None or result.loss_trace[-1] < best.loss_trace[-1]:
-            best = result
-
+    best = _best_of_restarts(loss, stacked, m, 0, config, rng, restarts)
     nmap = NestedMap(best.point.A, np.zeros((n, p), dtype=stacked.dtype))
     ratio = explained_variance_ratio(nmap, dataset)
     return FitReport(nmap, best.loss_trace, ratio, best.iterations, best.converged)

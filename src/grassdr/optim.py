@@ -94,8 +94,6 @@ class OptimizerConfig:
     armijo_slope: float = 1e-4
     backtrack_factor: float = 0.5
     max_backtracks: int = 30
-    cg_restart_period: int | None = None  # defaults to dim Gr(m,n) + dim R^{n x p}
-    beta_rule: str = "pr+"
 
     def __post_init__(self):
         if min(self.max_iter, self.max_backtracks) < 1:
@@ -104,8 +102,6 @@ class OptimizerConfig:
             raise ValueError("grad_tol, initial_step and armijo_slope must be positive")
         if not 0.0 < self.backtrack_factor < 1.0:
             raise ValueError("backtrack_factor must lie in (0, 1)")
-        if self.beta_rule != "pr+":
-            raise ValueError(f"unsupported beta rule {self.beta_rule!r}")
 
 
 @dataclass
@@ -119,9 +115,8 @@ class OptimizeResult:
     grad_norm: float
 
 
-def _restart_period(point: ProductPoint, config: OptimizerConfig) -> int:
-    if config.cg_restart_period is not None:
-        return config.cg_restart_period
+def _restart_period(point: ProductPoint) -> int:
+    """CG restarts on steepest descent every dim Gr(m, n) + dim R^{n x p} iterations."""
     n, m = point.A.shape
     p = point.B.shape[1]
     return max(1, m * (n - m) + n * p)
@@ -154,7 +149,7 @@ def minimize(
     result so far. Deterministic: no internal randomness.
     """
     config = config or OptimizerConfig()
-    restart_every = _restart_period(init, config)
+    restart_every = _restart_period(init)
 
     point = init
     f, eg = loss_and_grad(point.A, point.B)

@@ -72,6 +72,11 @@ class TestOrthonormalize:
         m = rng.standard_normal((7, 3))
         assert np.array_equal(g.orthonormalize(m).basis, g.orthonormalize(m).basis)
 
+    @pytest.mark.parametrize("bad", (np.nan, np.inf))
+    def test_non_finite_basis_rejected(self, bad):
+        with pytest.raises(DegenerateInputError):
+            g.GrassmannPoint(np.array([[bad], [0.0], [1.0]]))
+
 
 class TestPrincipalAngles:
     def test_identical_subspaces(self):

@@ -1,4 +1,9 @@
+import copy
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -79,6 +84,79 @@ class TestModelFiles:
         path.write_text(json.dumps(doc))
         with pytest.raises(FormatError):
             io.load_model(path)
+
+
+def _edited(doc, path, value):
+    """Copy of ``doc`` with the entry at ``path`` (keys and indices) replaced by ``value``."""
+    doc = copy.deepcopy(doc)
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    return doc
+
+
+# Each edit turns a valid document into one the loader must reject with FormatError.
+BAD_DATASET_EDITS = {
+    "top-level-list": lambda d: [d],
+    "points-int": lambda d: _edited(d, ["points"], 5),
+    "points-string": lambda d: _edited(d, ["points"], "abc"),
+    "N-string": lambda d: _edited(d, ["N"], "4"),
+    "N-negative": lambda d: _edited(d, ["N"], -1),
+    "n-float": lambda d: _edited(d, ["n"], 5.0),
+    "p-bool": lambda d: _edited(d, ["p"], True),
+    "p-zero": lambda d: _edited(d, ["p"], 0),
+    "labels-int": lambda d: _edited(d, ["labels"], 5),
+    "field-unknown": lambda d: _edited(d, ["field"], "quaternion"),
+    "nan-entry": lambda d: _edited(d, ["points", 0, 0, 0], float("nan")),
+    "inf-entry": lambda d: _edited(d, ["points", 1, 2, 0], float("inf")),
+}
+
+BAD_MODEL_EDITS = {
+    "top-level-list": lambda d: [d],
+    "A-int": lambda d: _edited(d, ["A"], 5),
+    "B-string": lambda d: _edited(d, ["B"], "x"),
+    "m-negative": lambda d: _edited(d, ["m"], -1),
+    "n-bool": lambda d: _edited(d, ["n"], True),
+    "p-null": lambda d: _edited(d, ["p"], None),
+    "field-unknown": lambda d: _edited(d, ["field"], 3),
+    "nan-in-A": lambda d: _edited(d, ["A", 0, 0], float("nan")),
+    "nan-in-B": lambda d: _edited(d, ["B", 2, 0], float("nan")),
+}
+
+
+class TestUntrustedFiles:
+    def _dataset_doc(self, tmp_path):
+        rng = np.random.default_rng(20)
+        path = tmp_path / "good.json"
+        io.save_dataset(path, make_dataset(rng, count=4, n=5, p=1), labels=[0, 1, 0, 1])
+        return json.loads(path.read_text())
+
+    def _model_path(self, tmp_path):
+        rng = np.random.default_rng(21)
+        a = g.sample_stiefel_uniform(5, 3, rng=rng).basis
+        path = tmp_path / "model.json"
+        io.save_model(path, g.NestedMap.from_unprojected(a, rng.standard_normal((5, 1))))
+        return path
+
+    @pytest.mark.parametrize("edit", BAD_DATASET_EDITS)
+    def test_bad_dataset_is_format_error_and_exit_3(self, tmp_path, edit):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(BAD_DATASET_EDITS[edit](self._dataset_doc(tmp_path))))
+        with pytest.raises(FormatError):
+            io.load_dataset(path)
+        assert main(["fit", str(path), "-m", "3", "--out", str(tmp_path / "m.json")]) == 3
+
+    @pytest.mark.parametrize("edit", BAD_MODEL_EDITS)
+    def test_bad_model_is_format_error_and_exit_3(self, tmp_path, edit):
+        model_path = self._model_path(tmp_path)
+        path = tmp_path / "bad_model.json"
+        path.write_text(json.dumps(BAD_MODEL_EDITS[edit](json.loads(model_path.read_text()))))
+        with pytest.raises(FormatError):
+            io.load_model(path)
+        data_path = tmp_path / "data.json"
+        data_path.write_text(json.dumps(self._dataset_doc(tmp_path)))
+        assert main(["project", str(path), str(data_path), "--out", str(tmp_path / "o.json")]) == 3
 
 
 class TestLandmarkFiles:
@@ -269,3 +347,19 @@ class TestCliShapes:
         shapes_path = tmp_path / "shapes.csv"
         io.save_landmarks(shapes_path, [shape] * 6, labels=[0, 1] * 3)
         assert main(["shapes", str(shapes_path), "-m", "3", "--out", str(tmp_path / "t.csv")]) == 3
+
+
+class TestModuleEntryPoints:
+    @pytest.mark.parametrize("module", ("grassdr", "grassdr.cli"))
+    def test_python_dash_m_runs_the_cli(self, tmp_path, module):
+        src = str(Path(g.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+        out = tmp_path / "synth.csv"
+        argv = [
+            "synth", "--num-points", "8", "--ambient-dim", "4", "--planted-dim", "2", "--sigma", "0.1",
+            "--reps", "1", "--max-iter", "5", "--metric", "projection", "--no-timing", "--out", str(out),
+        ]
+        proc = subprocess.run([sys.executable, "-m", module, *argv], env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        lines = out.read_text().splitlines()
+        assert lines[0].startswith("preset,") and len(lines) == 2

@@ -45,6 +45,15 @@ class TestNestedMap:
         nmap = random_map(rng, 7, 4, 2)
         assert (nmap.n, nmap.m, nmap.p, nmap.field) == (7, 4, 2, "real")
 
+    @pytest.mark.parametrize("which", ("A", "B"))
+    def test_non_finite_entries_rejected(self, which):
+        rng = np.random.default_rng(2)
+        nmap = random_map(rng, 6, 3, 1)
+        a, b = nmap.A.copy(), nmap.B.copy()
+        (a if which == "A" else b)[0, 0] = np.nan
+        with pytest.raises(ShapeError):
+            NestedMap(a, b)
+
 
 class TestEmbedProject:
     def test_zero_padding_embedding(self):
