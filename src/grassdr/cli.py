@@ -30,12 +30,15 @@ EXIT_CONVERGENCE = 4
 SYNTH_HEADER = ("preset", "rep", "sigma_or_mdim", "method", "metric", "explained_variance", "runtime_seconds", "status")
 
 
-class UsageError(Exception):
-    pass
+class UsageError(GrassdrError):
+    """Bad command-line arguments (exit 2)."""
 
 
 def _optimizer_config(args) -> OptimizerConfig:
-    return OptimizerConfig(max_iter=args.max_iter, grad_tol=args.grad_tol)
+    try:
+        return OptimizerConfig(max_iter=args.max_iter, grad_tol=args.grad_tol)
+    except ValueError as exc:
+        raise UsageError(f"bad optimizer option: {exc}") from exc
 
 
 def _elapsed(start, enabled: bool):
@@ -196,6 +199,8 @@ PRESETS = {"fig3": _rows_fig3, "fig4": _rows_fig4, "table1": _rows_table1}
 def cmd_synth(args) -> int:
     if args.preset is None and args.ambient_dim is None:
         raise UsageError("choose a --preset or give explicit dimensions")
+    if args.preset is None and args.planted_dim is None:
+        raise UsageError("a custom synth run needs --planted-dim as well as --ambient-dim")
     config = _optimizer_config(args)
     rows_for = PRESETS.get(args.preset, _rows_custom)
     rows = [row for rep in range(args.reps) for row in rows_for(rep, args, config)]

@@ -45,8 +45,11 @@ def _angles_from_cosines(s: np.ndarray) -> np.ndarray:
 
 
 def adjoint(m: np.ndarray) -> np.ndarray:
-    """Conjugate transpose (plain transpose for real input)."""
-    return np.conj(np.swapaxes(m, -1, -2))
+    """Conjugate transpose over the last two axes.
+
+    For real input this is the transposed view, not a copy.
+    """
+    return np.asarray(m).swapaxes(-1, -2).conj()
 
 
 def _as_matrix(m, name: str = "matrix") -> np.ndarray:

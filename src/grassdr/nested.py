@@ -10,8 +10,10 @@ Both losses share one spectral formulation: writing Phi_i for the p x p
 Hermitian matrix whose eigenvalues are the squared principal-angle cosines
 between a data point and its reconstruction (or between two projected
 points), the projection metric contributes sum(1 - lambda) and the geodesic
-metric sum(arccos(sqrt(lambda))^2). Gradients follow by differentiating
-the spectral function, which yields closed forms for every analytic path.
+metric sum(arccos(sqrt(lambda))^2). Differentiating that spectral
+function gives closed-form gradients for both losses under both metrics;
+``optim.check_gradient`` compares them with central differences in the
+tests.
 """
 
 from __future__ import annotations
@@ -179,17 +181,13 @@ def _check_metric(metric: str) -> None:
         raise ShapeError(f"unknown metric {metric!r}; expected one of {METRICS}")
 
 
-def _phi_and_psi(phi: np.ndarray, metric: str) -> tuple[np.ndarray, np.ndarray]:
-    """Per-item loss values and the gradient factor Psi = d tr(phi)/d Phi.
+def _geodesic_spectrum(phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Squared geodesic distances and the gradient factor Psi = d/dPhi of each.
 
-    ``phi`` is a stack of Hermitian p x p matrices with spectra in [0, 1]
-    (squared principal-angle cosines).
+    ``phi`` is a stack of Hermitian p x p matrices whose eigenvalues lambda
+    are squared principal-angle cosines; the distance is
+    sum(arccos(sqrt(lambda))^2) and Psi shares Phi's eigenvectors.
     """
-    p = phi.shape[-1]
-    if metric == "projection":
-        values = np.maximum(p - np.einsum("ikk->i", phi).real, 0.0)
-        psi = -np.broadcast_to(np.eye(p, dtype=phi.dtype), phi.shape)
-        return values, psi
     lam, vec = np.linalg.eigh(phi)
     lam = np.clip(lam, 0.0, 1.0)
     theta = np.arccos(np.sqrt(lam))
@@ -197,52 +195,23 @@ def _phi_and_psi(phi: np.ndarray, metric: str) -> tuple[np.ndarray, np.ndarray]:
     sin_theta = np.sqrt(np.clip(1.0 - lam, 0.0, 1.0))
     ratio = np.where(sin_theta > 1e-12, theta / np.where(sin_theta > 1e-12, sin_theta, 1.0), 1.0)
     dphi = -ratio / np.sqrt(np.clip(lam, _LAMBDA_FLOOR, 1.0))
-    psi = np.einsum("iab,ib,icb->iac", vec, dphi.astype(vec.dtype), np.conj(vec))
+    psi = (vec * dphi[..., None, :]) @ adjoint(vec)
     return values, psi
 
 
-def _cond_check(w: np.ndarray, what: str) -> None:
-    eigs = np.linalg.eigvalsh(w)
-    floor = _COND_FLOOR * np.maximum(eigs[:, -1], np.finfo(float).tiny)
-    bad = np.nonzero(eigs[:, 0] <= floor)[0]
-    if bad.size:
-        raise DegenerateProjectionError(
-            f"data point {bad[0]}: {what} is numerically rank deficient", index=int(bad[0])
-        )
+def _checked_inverse(w: np.ndarray, what: str) -> np.ndarray:
+    """Inverses of a stack of Hermitian Gram matrices, rejecting numerically singular ones."""
+    lam, vec = np.linalg.eigh(w)
+    bad = lam[:, 0] <= _COND_FLOOR * np.maximum(lam[:, -1], np.finfo(float).tiny)
+    if bad.any():
+        index = int(np.argmax(bad))
+        raise DegenerateProjectionError(f"data point {index}: {what} is numerically rank deficient", index=index)
+    return (vec / lam[:, None, :]) @ adjoint(vec)
 
 
-def _reconstruction_phi(a: np.ndarray, b_tilde: np.ndarray, stacked: np.ndarray):
-    """Per-point Hermitian Phi whose spectrum is cos^2 of the reconstruction angles."""
-    ah_x = np.einsum("nm,inp->imp", np.conj(a), stacked)
-    b_proj = b_tilde - a @ (adjoint(a) @ b_tilde)
-    m_mat = np.einsum("nm,imp->inp", a, ah_x) + b_proj[None]
-    w = np.einsum("inp,inq->ipq", np.conj(m_mat), m_mat)
-    _cond_check(w, "reconstruction")
-    s_mat = np.einsum("inp,inq->ipq", np.conj(m_mat), stacked)
-    winv_s = np.linalg.solve(w, s_mat)
-    phi = np.einsum("ipq,ipr->iqr", np.conj(s_mat), winv_s)
-    return m_mat, w, winv_s, 0.5 * (phi + adjoint(phi))
-
-
-def _geodesic_reconstruction_loss(a: np.ndarray, b_tilde: np.ndarray, stacked: np.ndarray) -> float:
-    _, _, _, phi = _reconstruction_phi(a, b_tilde, stacked)
-    lam = np.clip(np.linalg.eigvalsh(phi), 0.0, 1.0)
-    return float((np.arccos(np.sqrt(lam)) ** 2).sum(axis=-1).mean())
-
-
-def _fd_matrix_gradient(func, a: np.ndarray, h: float = 1e-6) -> np.ndarray:
-    """Central-difference Euclidean gradient of a scalar function of a matrix."""
-    g = np.zeros_like(a)
-    it = np.nditer(np.zeros(a.shape), flags=["multi_index"])
-    directions = (1.0, 1.0j) if np.iscomplexobj(a) else (1.0,)
-    for _ in it:
-        idx = it.multi_index
-        for direction in directions:
-            e = np.zeros_like(a)
-            e[idx] = direction
-            deriv = (func(a + h * e) - func(a - h * e)) / (2.0 * h)
-            g[idx] += deriv * direction
-    return g
+def _columns(stack: np.ndarray) -> np.ndarray:
+    """(N, n, p) stack as the n x Np matrix [S_1 ... S_N]."""
+    return stack.transpose(1, 0, 2).reshape(stack.shape[1], -1)
 
 
 def unsupervised_loss_and_grad(
@@ -250,47 +219,51 @@ def unsupervised_loss_and_grad(
     b_tilde: np.ndarray,
     stacked: np.ndarray,
     metric: str = "projection",
-    geodesic_grad: str = "fd",
 ) -> tuple[float, tuple[np.ndarray, np.ndarray]]:
     """Mean squared reconstruction distance and its Euclidean gradients.
 
-    Reconstruction of X_i uses span(A A^H X_i + (I - A A^H) B-tilde); the
-    constraint A^H B = 0 is enforced by the nullspace projector, so the loss
-    is a smooth function of arbitrary (A, B-tilde). Gradients follow the
-    convention dL = Re tr(G^H dM). The projection metric has closed-form
-    gradients; the geodesic metric defaults to central finite differences
-    (``geodesic_grad="analytic"`` selects the spectral closed form instead,
-    which is faster but shares the metric's non-smoothness at right angles).
+    Reconstruction of X_i uses span(M_i) with M_i = A A^H X_i + (I - A A^H)
+    B-tilde; the constraint A^H B = 0 is enforced by the nullspace
+    projector, so the loss is a smooth function of arbitrary (A, B-tilde).
+    With S_i = M_i^H X_i and W_i = M_i^H M_i, Phi_i = S_i^H W_i^{-1} S_i has
+    the squared reconstruction-angle cosines as its spectrum. Both metrics
+    have closed-form gradients in the convention dL = Re tr(G^H dM): the
+    projection metric through tr(Phi_i), the geodesic metric through the
+    spectral derivative of ``_geodesic_spectrum`` (non-smooth only where an
+    angle reaches pi/2).
     """
     _check_metric(metric)
     a = np.asarray(a)
     b_tilde = np.asarray(b_tilde, dtype=a.dtype)
-    n_pts = stacked.shape[0]
+    n_pts, _, p = stacked.shape
+    a_h = adjoint(a)
 
-    if metric == "geodesic" and geodesic_grad == "fd":
-        value = _geodesic_reconstruction_loss(a, b_tilde, stacked)
-        g_a = _fd_matrix_gradient(lambda x: _geodesic_reconstruction_loss(x, b_tilde, stacked), a)
-        g_b = _fd_matrix_gradient(lambda y: _geodesic_reconstruction_loss(a, y, stacked), b_tilde)
-        return value, (g_a, g_b)
-
-    m_mat, w, winv_s, phi = _reconstruction_phi(a, b_tilde, stacked)
-    values, psi = _phi_and_psi(phi, metric)
-    loss = float(values.mean())
+    m_mat = a @ (a_h @ stacked) + (b_tilde - a @ (a_h @ b_tilde))
+    m_h = adjoint(m_mat)
+    winv = _checked_inverse(m_h @ m_mat, "reconstruction")
+    s_mat = m_h @ stacked
+    winv_s = winv @ s_mat
+    if metric == "projection":
+        # Loss p - tr(Phi_i), so dL/dPhi_i = -I.
+        values = np.maximum(p - np.einsum("ipq,ipq->i", np.conj(s_mat), winv_s).real, 0.0)
+        e_mat = -adjoint(winv_s)
+    else:
+        phi = adjoint(s_mat) @ winv_s
+        values, psi = _geodesic_spectrum(0.5 * (phi + adjoint(phi)))
+        e_mat = psi @ adjoint(winv_s)
+    loss = float(values.sum()) / n_pts
 
     # dL/dM_i = (2/N) (I - Pi_i) X_i Psi_i X_i^H M_i W_i^{-1}
-    e_mat = np.einsum("ipq,irq->ipr", psi, np.conj(winv_s))
-    f_mat = np.einsum("inp,ipq->inq", stacked, e_mat)
-    k_mat = np.linalg.solve(w, np.einsum("inp,inq->ipq", np.conj(m_mat), f_mat))
-    g_m = (2.0 / n_pts) * (f_mat - np.einsum("inp,ipq->inq", m_mat, k_mat))
+    f_mat = stacked @ e_mat
+    g_m = (2.0 / n_pts) * (f_mat - m_mat @ (winv @ (m_h @ f_mat)))
 
-    # G_A = sum_i [ G_i (D_i^H A) + D_i (G_i^H A) ],  D_i = X_i - B-tilde
-    diff = stacked - b_tilde[None]
-    dh_a = np.einsum("inp,nm->ipm", np.conj(diff), a)
-    gh_a = np.einsum("inp,nm->ipm", np.conj(g_m), a)
-    g_a = np.einsum("inp,ipm->nm", g_m, dh_a) + np.einsum("inp,ipm->nm", diff, gh_a)
-
+    # G_A = sum_i [ G_i (D_i^H A) + D_i (G_i^H A) ],  D_i = X_i - B-tilde,
+    # as four GEMMs over the column-concatenated n x Np blocks.
+    g_flat = _columns(g_m)
+    d_flat = _columns(stacked - b_tilde)
+    g_a = g_flat @ (adjoint(d_flat) @ a) + d_flat @ (adjoint(g_flat) @ a)
     g_sum = g_m.sum(axis=0)
-    g_b = g_sum - a @ (adjoint(a) @ g_sum)
+    g_b = g_sum - a @ (a_h @ g_sum)
     return loss, (g_a, g_b)
 
 
@@ -298,13 +271,12 @@ def loss_unsupervised(
     nmap: NestedMap,
     dataset: Sequence[GrassmannPoint],
     metric: str = "projection",
-    geodesic_grad: str = "fd",
 ) -> tuple[float, tuple[np.ndarray, np.ndarray]]:
     """Reconstruction loss of a fitted map on a dataset, with gradients."""
     stacked = stack_points(dataset)
     if stacked.shape[1] != nmap.n or stacked.shape[2] != nmap.p:
         raise ShapeError("dataset dims do not match the map")
-    return unsupervised_loss_and_grad(nmap.A, nmap.B, stacked, metric, geodesic_grad)
+    return unsupervised_loss_and_grad(nmap.A, nmap.B, stacked, metric)
 
 
 def build_affinity(labels, distances: np.ndarray, k_w: int = 5, k_b: int = 5) -> np.ndarray:
@@ -340,24 +312,6 @@ def build_affinity(labels, distances: np.ndarray, k_w: int = 5, k_b: int = 5) ->
     return aff
 
 
-def _projected_frames(a: np.ndarray, stacked: np.ndarray):
-    y = np.einsum("nm,inp->imp", np.conj(a), stacked)
-    w = np.einsum("imp,imq->ipq", np.conj(y), y)
-    _cond_check(w, "projection")
-    return y, w
-
-
-def _geodesic_pairwise_loss(a: np.ndarray, stacked: np.ndarray, affinity: np.ndarray) -> float:
-    y, _ = _projected_frames(a, stacked)
-    n_pts = stacked.shape[0]
-    q, r = np.linalg.qr(y)
-    gram = np.einsum("imp,jmq->ijpq", np.conj(q), q)
-    s = np.linalg.svd(gram, compute_uv=False)
-    theta = np.arccos(np.clip(s, 0.0, 1.0))
-    d2 = (theta**2).sum(axis=-1)
-    return float((affinity * d2).sum() / n_pts**2)
-
-
 def supervised_loss_and_grad(
     a: np.ndarray,
     stacked: np.ndarray,
@@ -366,37 +320,41 @@ def supervised_loss_and_grad(
 ) -> tuple[float, tuple[np.ndarray, np.ndarray]]:
     """Affinity-weighted mean of pairwise squared distances between projections.
 
-    L(A) = (1/N^2) sum_ij a_ij d^2(span(A^H X_i), span(A^H X_j)). The
-    projection metric has an analytic gradient; the geodesic metric falls
-    back to central finite differences (slow, retained behind the flag).
+    L(A) = (1/N^2) sum_ij a_ij d^2(span(A^H X_i), span(A^H X_j)). With
+    Y_i = A^H X_i = Q_i R_i (canonical QR), C_ij = Q_i^H Q_j holds the
+    principal cosines of pair (i, j) and Phi_ij = C_ij C_ij^H their squares.
+    Writing Psi_ij = dd^2_ij/dPhi_ij (-I for the projection metric, the
+    spectral derivative for the geodesic one) and
+    T_j = sum_i a_ij Q_i Psi_ij C_ij, the gradient is
+    G_A = (2/N^2) sum_j X_j Gamma_j^H with Gamma_j = 2 (I - Q_j Q_j^H) T_j R_j^{-H}.
+    Every pairwise product is one GEMM over the m x Np matrix [Q_1 ... Q_N].
     Returns (value, (G_A, G_B)) with a zero-width G_B for optimizer reuse.
     """
     _check_metric(metric)
     a = np.asarray(a)
-    n_pts = stacked.shape[0]
-    p = stacked.shape[2]
+    n_pts, _, p = stacked.shape
     if affinity.shape != (n_pts, n_pts):
         raise ShapeError("affinity size does not match dataset")
-    g_b = np.zeros((a.shape[0], 0), dtype=a.dtype)
 
-    if metric == "geodesic":
-        value = _geodesic_pairwise_loss(a, stacked, affinity)
-        g_a = _fd_matrix_gradient(lambda m: _geodesic_pairwise_loss(m, stacked, affinity), a)
-        return value, (g_a, g_b)
+    y = adjoint(a) @ stacked
+    winv = _checked_inverse(adjoint(y) @ y, "projection")
+    q = _canonical_qr(y)
+    q_flat = _columns(q)
+    cos = (adjoint(q_flat) @ q_flat).reshape(n_pts, p, n_pts, p).transpose(0, 2, 1, 3)
+    if metric == "projection":
+        d2 = p - (np.abs(cos) ** 2).sum(axis=(-2, -1))
+        psi_cos = -cos
+    else:
+        d2, psi = _geodesic_spectrum(cos @ adjoint(cos))
+        psi_cos = psi @ cos
+    value = float((affinity * d2).sum() / n_pts**2)
 
-    y, w = _projected_frames(a, stacked)
-    winv = np.linalg.inv(w)
-    e = np.einsum("imp,ipq->imq", y, winv)
-    pi = np.einsum("imp,iqp->imq", e, np.conj(y))
-    t = np.einsum("imq,jqm->ij", pi, pi).real
-    value = float((affinity * (p - t)).sum() / n_pts**2)
-
-    # d t_ij / d Y_i = 2 (I - Pi_i) Pi_j E_i; fold the j-sum through Q_i.
-    q_mat = np.einsum("ij,jmq->imq", affinity, pi).astype(pi.dtype)
-    qe = np.einsum("imq,iqp->imp", q_mat, e)
-    gamma = 2.0 * (qe - np.einsum("imq,iqp->imp", pi, qe))
-    g_a = (-2.0 / n_pts**2) * np.einsum("inq,imq->nm", stacked, np.conj(gamma))
-    return value, (g_a, g_b)
+    weighted = (affinity[:, :, None, None] * psi_cos).transpose(0, 2, 1, 3).reshape(n_pts * p, -1)
+    t = (q_flat @ weighted).reshape(-1, n_pts, p).transpose(1, 0, 2)
+    r_inv_h = (adjoint(q) @ y) @ winv
+    gamma = 2.0 * (t - q @ (adjoint(q) @ t)) @ r_inv_h
+    g_a = (2.0 / n_pts**2) * (_columns(stacked) @ adjoint(_columns(gamma)))
+    return value, (g_a, np.zeros((a.shape[0], 0), dtype=a.dtype))
 
 
 def loss_supervised(
@@ -456,9 +414,9 @@ def explained_variance_ratio(nmap: NestedMap, dataset: Sequence[GrassmannPoint])
 
 
 def _svd_init(stacked: np.ndarray, m: int) -> np.ndarray:
-    n = stacked.shape[1]
-    flat = np.moveaxis(stacked, 0, 1).reshape(n, -1)
-    u, _, _ = np.linalg.svd(flat, full_matrices=True)
+    """The m leading left singular vectors of [X_1 ... X_N]; thin unless Np < m."""
+    flat = _columns(stacked)
+    u, _, _ = np.linalg.svd(flat, full_matrices=flat.shape[1] < m)
     return u[:, :m].copy()
 
 

@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConvergenceError, ShapeError
-from .geometry import adjoint, orthonormal_columns, _as_matrix
+from .geometry import _as_matrix, _canonical_qr, adjoint
 
 LossAndGrad = Callable[[np.ndarray, np.ndarray], tuple[float, tuple[np.ndarray, np.ndarray]]]
 
@@ -36,6 +36,9 @@ class ProductPoint:
             raise ShapeError(f"B must be {a.shape[0]} x p, got {b.shape}")
         if np.abs(adjoint(a) @ a - np.eye(a.shape[1])).max() > 1e-10:
             raise ShapeError("A must have orthonormal columns")
+        self._freeze(a, b)
+
+    def _freeze(self, a: np.ndarray, b: np.ndarray) -> None:
         a.setflags(write=False)
         b.setflags(write=False)
         object.__setattr__(self, "A", a)
@@ -72,11 +75,16 @@ def riemannian_gradient(point: ProductPoint, euclid_grad) -> ProductTangent:
 
 
 def retract(point: ProductPoint, step: ProductTangent, t: float) -> ProductPoint:
-    """QR retraction on the Grassmann factor, translation on the Euclidean one."""
+    """QR retraction on the Grassmann factor, translation on the Euclidean one.
+
+    A horizontal step keeps full rank, since A^H (A + t dA) = I, so the
+    canonical QR needs no rank check and the result no re-validation.
+    """
     if t == 0.0:
         return point
-    a = orthonormal_columns(point.A + t * step.dA)
-    return ProductPoint(a, point.B + t * step.dB)
+    moved = object.__new__(ProductPoint)
+    moved._freeze(_canonical_qr(point.A + t * step.dA), point.B + t * step.dB)
+    return moved
 
 
 def transport(from_point: ProductPoint, to_point: ProductPoint, v: ProductTangent) -> ProductTangent:
@@ -98,7 +106,8 @@ class OptimizerConfig:
     def __post_init__(self):
         if min(self.max_iter, self.max_backtracks) < 1:
             raise ValueError("max_iter and max_backtracks must be positive")
-        if min(self.grad_tol, self.initial_step, self.armijo_slope) <= 0:
+        # Written as "not > 0" so that NaN fails too.
+        if not all(v > 0 for v in (self.grad_tol, self.initial_step, self.armijo_slope)):
             raise ValueError("grad_tol, initial_step and armijo_slope must be positive")
         if not 0.0 < self.backtrack_factor < 1.0:
             raise ValueError("backtrack_factor must lie in (0, 1)")

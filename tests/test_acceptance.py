@@ -187,19 +187,20 @@ def test_criterion_2_nested_structure_suite():
             worst_grad = max(
                 worst_grad,
                 check_gradient(
-                    lambda x, y, m=metric: unsupervised_loss_and_grad(x, y, stacked, m, geodesic_grad="analytic"),
+                    lambda x, y, m=metric: unsupervised_loss_and_grad(x, y, stacked, m),
                     a, bt, rng=rng,
                 ),
             )
         labels = np.array([0, 0, 0, 1, 1, 1])
         aff = g.build_affinity(labels, g.pairwise_distances(stacked, "projection"), 2, 2)
-        worst_grad = max(
-            worst_grad,
-            check_gradient(
-                lambda x, y: supervised_loss_and_grad(x, stacked, aff, "projection"),
-                a, np.zeros((8, 0), dtype=a.dtype), rng=rng,
-            ),
-        )
+        for metric in ("projection", "geodesic"):
+            worst_grad = max(
+                worst_grad,
+                check_gradient(
+                    lambda x, y, m=metric: supervised_loss_and_grad(x, stacked, aff, m),
+                    a, np.zeros((8, 0), dtype=a.dtype), rng=rng,
+                ),
+            )
 
     ok = worst_iso < 1e-9 and worst_rt < 1e-9 and worst_gauge < 1e-10 and worst_grad < 1e-5
     _report(

@@ -30,9 +30,13 @@ TOL = 1e-9
 # Karcher iteration fails and the damped step is needed once; the test
 # checks that it still is, so that the pinned numbers cover that path.
 SHAPES = ["synth-shapes", "--count", "40", "--landmarks", "100", "--seed", "3", "--out", "shapes3.csv"]
+# A small labeled file for the supervised geodesic fit, whose gradient is
+# the spectral closed form of ``nested.supervised_loss_and_grad``.
+SMALL_SHAPES = ["synth-shapes", "--count", "12", "--landmarks", "8", "--seed", "1", "--out", "shapes1.csv"]
 
 # (output file, argv); every run writes into one working directory holding
-# ``data.json`` (copied from GOLDEN) and ``shapes3.csv`` (from SHAPES).
+# ``data.json`` (copied from GOLDEN), ``shapes3.csv`` (from SHAPES) and
+# ``shapes1.csv`` (from SMALL_SHAPES).
 RUNS = [
     ("fig3.csv", ["synth", "--preset", "fig3", "--reps", "1", "--max-iter", "10", "--no-timing"]),
     ("fig4.csv", ["synth", "--preset", "fig4", "--reps", "1", "--max-iter", "30", "--no-timing"]),
@@ -42,6 +46,10 @@ RUNS = [
         "--num-points", "20", "--reps", "2", "--max-iter", "30", "--metric", "both", "--no-timing",
     ]),
     ("shapes3_supervised.csv", ["shapes", "shapes3.csv", "-m", "10", "--supervised", "--no-timing"]),
+    ("shapes1_supervised_geodesic.csv", [
+        "shapes", "shapes1.csv", "-m", "2", "--supervised", "--metric", "geodesic",
+        "--restarts", "2", "--max-iter", "5", "--no-timing",
+    ]),
     ("fit_projection.json", ["fit", "data.json", "-m", "3", "--metric", "projection", "--restarts", "2", "--no-timing"]),
     ("fit_geodesic.json", ["fit", "data.json", "-m", "3", "--metric", "geodesic", "--restarts", "2", "--no-timing"]),
 ]
@@ -69,6 +77,7 @@ def _run(workdir: Path, name: str, argv: list[str]) -> Path:
 def _prepare(workdir: Path) -> None:
     shutil.copy(GOLDEN / "data.json", workdir / "data.json")
     assert _main_in(workdir, SHAPES) == 0
+    assert _main_in(workdir, SMALL_SHAPES) == 0
 
 
 def _close(got: str, want: str) -> bool:

@@ -309,6 +309,29 @@ class TestCliSynth:
     def test_preset_required_or_dims(self, tmp_path):
         assert main(["synth", "--out", str(tmp_path / "x.csv")]) == 2
 
+    def test_custom_run_needs_planted_dim(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        assert main(["synth", "--ambient-dim", "5", "--out", str(out)]) == 2
+        assert "--planted-dim" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestCliOptimizerOptions:
+    @pytest.mark.parametrize("flag,value", (("--max-iter", "0"), ("--grad-tol", "-1"), ("--grad-tol", "nan")))
+    def test_bad_option_is_usage_error(self, tmp_path, capsys, flag, value):
+        data = g.generate(g.SynthConfig(N=6, n=5, m=2, p=1, sigma=0.1, seed=1))
+        data_path = tmp_path / "data.json"
+        io.save_dataset(data_path, data.points)
+        shapes_path = tmp_path / "shapes.csv"
+        assert main(["synth-shapes", "--count", "6", "--landmarks", "6", "--out", str(shapes_path)]) == 0
+        for argv in (
+            ["fit", str(data_path), "-m", "3", "--out", str(tmp_path / "m.json")],
+            ["shapes", str(shapes_path), "-m", "3", "--out", str(tmp_path / "t.csv")],
+            ["synth", "--preset", "fig3", "--reps", "1", "--out", str(tmp_path / "s.csv")],
+        ):
+            assert main(argv + [flag, value]) == 2, argv
+            assert "bad optimizer option" in capsys.readouterr().err
+
 
 class TestCliShapes:
     def test_pipeline_and_determinism(self, tmp_path):

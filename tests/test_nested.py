@@ -203,8 +203,6 @@ class TestUnsupervisedLoss:
     @pytest.mark.parametrize("field", ("real", "complex"))
     @pytest.mark.parametrize("metric", ("projection", "geodesic"))
     def test_gradients_match_finite_differences(self, field, metric):
-        # geodesic_grad="analytic" exercises the closed-form path for both
-        # metrics; the default geodesic route is itself finite differences.
         rng = np.random.default_rng(16)
         pts = random_dataset(rng, 6, 8, 2, field)
         stacked = stack_points(pts)
@@ -212,20 +210,9 @@ class TestUnsupervisedLoss:
         bt = 0.3 * rng.standard_normal((8, 2)).astype(a.dtype)
 
         def loss(a_, b_):
-            return unsupervised_loss_and_grad(a_, b_, stacked, metric, geodesic_grad="analytic")
+            return unsupervised_loss_and_grad(a_, b_, stacked, metric)
 
         assert check_gradient(loss, a, bt, rng=rng) < 1e-5
-
-    def test_fd_and_analytic_geodesic_gradients_agree(self):
-        rng = np.random.default_rng(17)
-        pts = random_dataset(rng, 6, 7, 1)
-        stacked = stack_points(pts)
-        a = g.sample_stiefel_uniform(7, 3, rng=rng).basis
-        bt = 0.3 * rng.standard_normal((7, 1))
-        _, (fa, fb) = unsupervised_loss_and_grad(a, bt, stacked, "geodesic", geodesic_grad="fd")
-        _, (aa, ab) = unsupervised_loss_and_grad(a, bt, stacked, "geodesic", geodesic_grad="analytic")
-        assert np.abs(fa - aa).max() < 1e-6 * max(1.0, np.abs(aa).max())
-        assert np.abs(fb - ab).max() < 1e-6 * max(1.0, np.abs(ab).max())
 
 
 class TestAffinity:
@@ -310,17 +297,19 @@ class TestSupervisedLoss:
         l2, _ = g.loss_supervised(a, pts2, aff2)
         assert l1 == pytest.approx(l2, abs=1e-12)
 
+    @pytest.mark.parametrize("p", (1, 2))
     @pytest.mark.parametrize("field", ("real", "complex"))
-    def test_projection_gradient_matches_fd(self, field):
+    @pytest.mark.parametrize("metric", ("projection", "geodesic"))
+    def test_gradient_matches_fd(self, metric, field, p):
         rng = np.random.default_rng(22)
-        pts = random_dataset(rng, 6, 7, 1, field)
+        pts = random_dataset(rng, 6, 7, p, field)
         stacked = stack_points(pts)
         labels = np.array([0, 0, 0, 1, 1, 1])
         aff = build_affinity(labels, g.pairwise_distances(stacked, "projection"), 2, 2)
         a = g.sample_stiefel_uniform(7, 3, field, rng=rng).basis
 
         def loss(a_, b_):
-            return supervised_loss_and_grad(a_, stacked, aff, "projection")
+            return supervised_loss_and_grad(a_, stacked, aff, metric)
 
         assert check_gradient(loss, a, np.zeros((7, 0), dtype=a.dtype), rng=rng) < 1e-5
 

@@ -65,6 +65,16 @@ class TestRetract:
         assert np.allclose(np.abs(out.A.T @ pt.A), np.eye(2), atol=1e-12)
         assert np.allclose(out.B, pt.B + 0.5 * db)
 
+    def test_horizontal_step_gives_canonical_frozen_point(self):
+        rng = np.random.default_rng(7)
+        pt = random_product_point(rng, 6, 2, 1)
+        step = ProductTangent(g.tangent_project(g.GrassmannPoint(pt.A), rng.standard_normal((6, 2))).mat,
+                              rng.standard_normal((6, 1)))
+        out = retract(pt, step, 0.7)
+        assert np.array_equal(out.A, g.orthonormal_columns(pt.A + 0.7 * step.dA))
+        assert np.abs(out.A.T @ out.A - np.eye(2)).max() < 1e-12
+        assert not out.A.flags.writeable and not out.B.flags.writeable
+
     def test_second_order_agreement_with_exp(self):
         rng = np.random.default_rng(6)
         x = g.sample_stiefel_uniform(7, 2, rng=rng)
@@ -195,6 +205,8 @@ class TestMinimize:
             OptimizerConfig(backtrack_factor=1.5)
         with pytest.raises(ValueError):
             OptimizerConfig(max_iter=0)
+        with pytest.raises(ValueError):
+            OptimizerConfig(grad_tol=float("nan"))
 
 
 class TestGradientHarness:
