@@ -14,8 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DegenerateInputError, ShapeError, SupervisionDegenerateError, UndefinedRatioError
-from .geometry import GrassmannPoint, _batched_log_mats, pairwise_distances, stack_points
-from .nested import _frechet_with_restarts
+from .geometry import GrassmannPoint, _batched_log_mats, frechet_mean, pairwise_distances, stack_points
 
 
 @dataclass(frozen=True, eq=False)
@@ -76,7 +75,7 @@ def pga_fit(dataset: Sequence[GrassmannPoint], num_components: int) -> PgaModel:
     """
     if len(dataset) < 2:
         raise ShapeError("PGA needs at least two points")
-    mean = _frechet_with_restarts(dataset)
+    mean = frechet_mean(dataset)
     coords = _tangent_coordinates(dataset, mean)
     total = float((coords**2).sum(axis=1).mean())
     if total <= 1e-24:
@@ -114,14 +113,17 @@ def spga_fit(dataset: Sequence[GrassmannPoint], labels, num_components: int) -> 
     Components are the leading eigenvectors of T H K H T^H with T the tangent
     coordinate matrix, H the centering operator and K_ij = 1[y_i = y_j];
     ``component_variances`` holds the corresponding eigenvalues (supervised
-    objective scores, not captured variances).
+    objective scores, not captured variances). With c classes, H K H and
+    hence T H K H T^H have rank at most c - 1: components past the first
+    c - 1 are arbitrary vectors of its null space, chosen by rounding in the
+    eigensolver.
     """
     labels = np.asarray(labels)
     if labels.shape[0] != len(dataset):
         raise ShapeError("labels length does not match dataset")
     if np.unique(labels).size < 2:
         raise SupervisionDegenerateError("supervised PGA needs at least two classes")
-    mean = _frechet_with_restarts(dataset)
+    mean = frechet_mean(dataset)
     coords = _tangent_coordinates(dataset, mean)
     n_pts, dim = coords.shape
     if not 1 <= num_components <= dim:

@@ -281,13 +281,19 @@ def cmd_synth_shapes(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _add_common_fit_options(sub, allow_both_metrics: bool = False) -> None:
     choices = ("projection", "geodesic", "both") if allow_both_metrics else ("projection", "geodesic")
     sub.add_argument("--metric", choices=choices, default="both" if allow_both_metrics else "projection")
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--max-iter", type=int, default=300)
     sub.add_argument("--grad-tol", type=float, default=1e-6)
-    sub.add_argument("--restarts", type=int, default=1)
     sub.add_argument("--no-timing", dest="timing", action="store_false")
 
 
@@ -304,6 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
     fit.add_argument("--k-between", type=int, default=5)
     fit.add_argument("--out", default="model.json")
     fit.add_argument("--report", default=None)
+    fit.add_argument("--restarts", type=_positive_int, default=1)
     _add_common_fit_options(fit)
     fit.set_defaults(func=cmd_fit)
 
@@ -335,6 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
     shapes.add_argument("--k-within", type=int, default=5)
     shapes.add_argument("--k-between", type=int, default=5)
     shapes.add_argument("--out", required=True)
+    shapes.add_argument("--restarts", type=_positive_int, default=1)
     _add_common_fit_options(shapes)
     shapes.set_defaults(func=cmd_shapes)
 

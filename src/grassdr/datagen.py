@@ -41,8 +41,10 @@ class SynthConfig:
             raise ShapeError(f"need p <= m < n, got (n, m, p) = {(self.n, self.m, self.p)}")
         if self.N < 1:
             raise ShapeError("N must be at least 1")
-        if self.sigma < 0:
-            raise ShapeError("sigma must be nonnegative")
+        if not (np.isfinite(self.sigma) and self.sigma >= 0):
+            raise ShapeError(f"sigma must be finite and nonnegative, got {self.sigma}")
+        if not (np.isfinite(self.b_std) and self.b_std >= 0):
+            raise ShapeError(f"b_std must be finite and nonnegative, got {self.b_std}")
 
 
 @dataclass

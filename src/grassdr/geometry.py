@@ -222,18 +222,7 @@ def log_map(x: GrassmannPoint, y: GrassmannPoint, cut_margin: float = CUT_LOCUS_
     ``cut_margin`` of pi/2 (X^H Y nearly singular).
     """
     _check_pair(x, y)
-    m = adjoint(x.basis) @ y.basis
-    smin = np.linalg.svd(m, compute_uv=False)[-1]
-    if smin <= np.sin(cut_margin):
-        raise CutLocusError(
-            f"largest principal angle within {cut_margin:.1e} of pi/2; logarithm undefined"
-        )
-    g = (y.basis - x.basis @ m) @ np.linalg.inv(m)
-    u, s, vh = np.linalg.svd(g, full_matrices=False)
-    h = (u * np.arctan(s)[None, :]) @ vh
-    # Scrub rounding so the horizontal invariant holds exactly.
-    h -= x.basis @ (adjoint(x.basis) @ h)
-    return TangentVector(x, h)
+    return TangentVector(x, _batched_log_mats(x.basis, y.basis[None], cut_margin)[0])
 
 
 def sample_stiefel_uniform(n: int, p: int, field: str = "real", *, rng: np.random.Generator) -> GrassmannPoint:
@@ -305,30 +294,44 @@ def pairwise_distances(points: Sequence[GrassmannPoint], metric: str = "geodesic
     return d
 
 
+def _columns(stack: np.ndarray) -> np.ndarray:
+    """(N, n, p) stack as the n x Np matrix [S_1 ... S_N]."""
+    return stack.transpose(1, 0, 2).reshape(stack.shape[1], -1)
+
+
+def _leading_left_singular_vectors(stacked: np.ndarray, k: int) -> np.ndarray:
+    """The k leading left singular vectors of [X_1 ... X_N]; thin unless Np < k."""
+    flat = _columns(stacked)
+    u, _, _ = np.linalg.svd(flat, full_matrices=flat.shape[1] < k)
+    return u[:, :k].copy()
+
+
 def frechet_mean(
     points: Sequence[GrassmannPoint],
     tol: float = 1e-9,
-    max_iter: int = 200,
-    step: float = 1.0,
+    max_iter: int = 1000,
 ) -> GrassmannPoint:
-    """Karcher mean: fixed point of mu <- exp_mu(step * mean_i log_mu(X_i)).
+    """Karcher mean: fixed point of mu <- exp_mu(mean_i log_mu(X_i)).
 
-    Initialized at the first point; returns once the gradient norm drops to
-    ``tol``. A step below one damps the iteration on spread data where the
-    unit step cycles. Raises ConvergenceError (carrying the last iterate)
-    after ``max_iter`` sweeps, and propagates CutLocusError from the log map.
+    Starts at the extrinsic mean, the span of the p leading left singular
+    vectors of [X_1 ... X_N] (the minimizer of the summed squared projection
+    distance), so the result does not depend on the order of the points.
+    Inside the ball where the mean is unique (Afsari 2011) the iteration
+    converges to it; beyond it the start selects the stationary point.
+    Always takes the unit step and returns once the gradient norm drops to
+    ``tol``. Raises ConvergenceError (carrying the last iterate) after
+    ``max_iter`` sweeps, and propagates CutLocusError from the log map.
     """
     if len(points) == 0:
         raise ShapeError("frechet_mean of an empty sequence")
     stacked = stack_points(points)
-    mu = points[0]
+    mu = GrassmannPoint(_leading_left_singular_vectors(stacked, stacked.shape[2]))
     for _ in range(max_iter):
-        logs = _batched_log_mats(mu.basis, stacked)
-        g = logs.mean(axis=0)
+        g = _batched_log_mats(mu.basis, stacked).mean(axis=0)
         if np.linalg.norm(g) <= tol:
             return mu
-        mu = exp_map(mu, TangentVector(mu, step * g))
+        mu = exp_map(mu, TangentVector(mu, g))
     raise ConvergenceError(
-        f"Karcher iteration (step {step}) did not reach gradient norm {tol:.1e} in {max_iter} steps",
+        f"Karcher iteration did not reach gradient norm {tol:.1e} in {max_iter} steps",
         result=mu,
     )

@@ -26,7 +26,6 @@ import numpy as np
 
 from .errors import (
     ConvergenceError,
-    CutLocusError,
     DegenerateInputError,
     DegenerateProjectionError,
     GrassdrError,
@@ -38,6 +37,8 @@ from .geometry import (
     GrassmannPoint,
     _angles_from_cosines,
     _canonical_qr,
+    _columns,
+    _leading_left_singular_vectors,
     adjoint,
     frechet_mean,
     orthonormalize,
@@ -209,11 +210,6 @@ def _checked_inverse(w: np.ndarray, what: str) -> np.ndarray:
     return (vec / lam[:, None, :]) @ adjoint(vec)
 
 
-def _columns(stack: np.ndarray) -> np.ndarray:
-    """(N, n, p) stack as the n x Np matrix [S_1 ... S_N]."""
-    return stack.transpose(1, 0, 2).reshape(stack.shape[1], -1)
-
-
 def unsupervised_loss_and_grad(
     a: np.ndarray,
     b_tilde: np.ndarray,
@@ -374,28 +370,10 @@ def loss_supervised(
 # ---------------------------------------------------------------------------
 
 
-# (rotated starts, step, max_iter) tried in order: the unit step first, then
-# a damped step for spread data where the unit step cycles.
-_KARCHER_SCHEDULE = ((4, 1.0, 200), (2, 0.5, 1000))
-
-
-def _frechet_with_restarts(points: Sequence[GrassmannPoint]) -> GrassmannPoint:
-    """Karcher mean, retrying other inits and a damped step if the default stalls."""
-    last: Exception | None = None
-    for starts, step, max_iter in _KARCHER_SCHEDULE:
-        for start in range(min(starts, len(points))):
-            rotated = list(points[start:]) + list(points[:start])
-            try:
-                return frechet_mean(rotated, max_iter=max_iter, step=step)
-            except (CutLocusError, ConvergenceError) as exc:
-                last = exc
-    raise last  # type: ignore[misc]
-
-
 def variance(points: Sequence[GrassmannPoint]) -> float:
     """Frechet variance: mean squared geodesic distance to the Karcher mean."""
     stacked = stack_points(points)
-    mu = _frechet_with_restarts(points)
+    mu = frechet_mean(points)
     gram = np.einsum("nq,inp->iqp", np.conj(mu.basis), stacked)
     s = np.linalg.svd(gram, compute_uv=False)
     theta = _angles_from_cosines(s)
@@ -411,13 +389,6 @@ def explained_variance_ratio(nmap: NestedMap, dataset: Sequence[GrassmannPoint])
         raise UndefinedRatioError("original dataset has zero Frechet variance")
     var_proj = variance(project_dataset(nmap, dataset))
     return var_proj / var_orig
-
-
-def _svd_init(stacked: np.ndarray, m: int) -> np.ndarray:
-    """The m leading left singular vectors of [X_1 ... X_N]; thin unless Np < m."""
-    flat = _columns(stacked)
-    u, _, _ = np.linalg.svd(flat, full_matrices=flat.shape[1] < m)
-    return u[:, :m].copy()
 
 
 def _fit_dims(stacked: np.ndarray, m: int) -> tuple[int, int]:
@@ -440,12 +411,15 @@ def _best_of_restarts(
 ) -> OptimizeResult:
     """Minimize ``loss(A, B)`` from several starts and keep the lowest final loss.
 
-    A starts at the SVD init and then at ``restarts - 1`` uniform Stiefel
-    draws from ``rng``; B (n x ``width``) starts at zero.
+    A starts at the m leading left singular vectors of [X_1 ... X_N] and then
+    at ``restarts - 1`` uniform Stiefel draws from ``rng``; B (n x ``width``)
+    starts at zero.
     """
+    if restarts < 1:
+        raise ShapeError(f"restarts must be at least 1, got {restarts}")
     n = stacked.shape[1]
     field = "complex" if np.iscomplexobj(stacked) else "real"
-    inits = [_svd_init(stacked, m)]
+    inits = [_leading_left_singular_vectors(stacked, m)]
     if restarts > 1:
         rng = rng or np.random.default_rng(0)
         inits += [sample_stiefel_uniform(n, m, field, rng=rng).basis for _ in range(restarts - 1)]

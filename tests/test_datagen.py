@@ -14,6 +14,13 @@ class TestSynthConfig:
         with pytest.raises(ShapeError):
             g.SynthConfig(N=5, n=6, m=3, p=1, sigma=-1.0)
 
+    @pytest.mark.parametrize("value", (float("nan"), float("inf"), -1.0))
+    def test_non_finite_or_negative_scales_rejected(self, value):
+        with pytest.raises(ShapeError, match="sigma"):
+            g.SynthConfig(N=5, n=6, m=3, p=1, sigma=value)
+        with pytest.raises(ShapeError, match="b_std"):
+            g.SynthConfig(N=5, n=6, m=3, p=1, sigma=0.1, b_std=value)
+
 
 class TestGenerate:
     def test_sigma_zero_on_submanifold(self):

@@ -315,22 +315,52 @@ class TestCliSynth:
         assert "--planted-dim" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("sigma", ("nan", "inf"))
+    def test_non_finite_sigma_is_data_error(self, tmp_path, capsys, sigma):
+        out = tmp_path / "x.csv"
+        argv = ["synth", "--ambient-dim", "5", "--planted-dim", "2", "--sigma", sigma, "--reps", "1", "--out", str(out)]
+        assert main(argv) == 3
+        assert "sigma must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestCliOptimizerOptions:
-    @pytest.mark.parametrize("flag,value", (("--max-iter", "0"), ("--grad-tol", "-1"), ("--grad-tol", "nan")))
-    def test_bad_option_is_usage_error(self, tmp_path, capsys, flag, value):
+    def _fit_argvs(self, tmp_path):
+        """Argument lists of fit, shapes and synth runs on small inputs."""
         data = g.generate(g.SynthConfig(N=6, n=5, m=2, p=1, sigma=0.1, seed=1))
         data_path = tmp_path / "data.json"
         io.save_dataset(data_path, data.points)
         shapes_path = tmp_path / "shapes.csv"
         assert main(["synth-shapes", "--count", "6", "--landmarks", "6", "--out", str(shapes_path)]) == 0
-        for argv in (
+        return (
             ["fit", str(data_path), "-m", "3", "--out", str(tmp_path / "m.json")],
             ["shapes", str(shapes_path), "-m", "3", "--out", str(tmp_path / "t.csv")],
             ["synth", "--preset", "fig3", "--reps", "1", "--out", str(tmp_path / "s.csv")],
-        ):
+        )
+
+    @pytest.mark.parametrize("flag,value", (("--max-iter", "0"), ("--grad-tol", "-1"), ("--grad-tol", "nan")))
+    def test_bad_option_is_usage_error(self, tmp_path, capsys, flag, value):
+        for argv in self._fit_argvs(tmp_path):
             assert main(argv + [flag, value]) == 2, argv
             assert "bad optimizer option" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ("0", "-3"))
+    def test_restarts_below_one_is_usage_error(self, tmp_path, capsys, value):
+        fit_argv, shapes_argv, _ = self._fit_argvs(tmp_path)
+        for argv in (fit_argv, shapes_argv):
+            with pytest.raises(SystemExit) as exc:
+                main(argv + ["--restarts", value])
+            assert exc.value.code == 2, argv
+            assert "--restarts" in capsys.readouterr().err
+        assert not (tmp_path / "m.json").exists() and not (tmp_path / "t.csv").exists()
+
+    def test_synth_has_no_restarts_option(self, tmp_path, capsys):
+        *_, synth_argv = self._fit_argvs(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(synth_argv + ["--restarts", "2"])
+        assert exc.value.code == 2
+        assert "--restarts" in capsys.readouterr().err
+        assert not (tmp_path / "s.csv").exists()
 
 
 class TestCliShapes:

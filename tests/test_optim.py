@@ -146,7 +146,8 @@ class TestMinimize:
         assert angle < 1e-4
 
     def test_noiseless_nested_loss_reaches_zero(self):
-        from grassdr.nested import unsupervised_loss_and_grad, _svd_init
+        from grassdr.geometry import _leading_left_singular_vectors
+        from grassdr.nested import unsupervised_loss_and_grad
 
         data = g.generate(g.SynthConfig(N=20, n=8, m=3, p=1, sigma=0.0, seed=3))
         stacked = g.stack_points(data.points)
@@ -154,7 +155,7 @@ class TestMinimize:
         def loss(a, b):
             return unsupervised_loss_and_grad(a, b, stacked, "projection")
 
-        init = ProductPoint(_svd_init(stacked, 3), np.zeros((8, 1)))
+        init = ProductPoint(_leading_left_singular_vectors(stacked, 3), np.zeros((8, 1)))
         result = minimize(loss, init)
         assert result.loss_trace[-1] < 1e-8
 
