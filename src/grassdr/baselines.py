@@ -162,29 +162,29 @@ def gknn_loo(
     n_pts = len(dataset)
     if labels.shape[0] != n_pts:
         raise ShapeError("labels length does not match dataset")
-    if not 1 <= k <= n_pts - 1:
-        raise ShapeError(f"k must be in [1, {n_pts - 1}], got {k}")
     distances = pairwise_distances(dataset, metric=metric)
     return knn_loo_from_distances(distances, labels, k)
 
 
 def knn_loo_from_distances(distances: np.ndarray, labels, k: int) -> tuple[float, np.ndarray]:
-    """Leave-one-out kNN on a precomputed distance matrix."""
+    """Leave-one-out kNN on a precomputed distance matrix, with the tie rule of ``gknn_loo``.
+
+    Raises ShapeError unless the matrix is N x N for N labels and 1 <= k <= N - 1.
+    """
     labels = np.asarray(labels)
     n_pts = labels.shape[0]
-    predictions = np.empty(n_pts, dtype=labels.dtype)
-    for i in range(n_pts):
-        order = np.argsort(distances[i], kind="stable")
-        neighbors = order[order != i][:k]
-        neighbor_labels = labels[neighbors]
-        classes, counts = np.unique(neighbor_labels, return_counts=True)
-        tied = classes[counts == counts.max()]
-        if tied.size == 1:
-            predictions[i] = tied[0]
-        else:
-            for j in neighbors:  # nearest neighbor among tied classes wins
-                if labels[j] in tied:
-                    predictions[i] = labels[j]
-                    break
-    accuracy = float((predictions == labels).mean())
-    return accuracy, predictions
+    if np.shape(distances) != (n_pts, n_pts):
+        raise ShapeError(f"distances must be {n_pts} x {n_pts}, got {np.shape(distances)}")
+    if not 1 <= k <= n_pts - 1:
+        raise ShapeError(f"k must be in [1, {n_pts - 1}], got {k}")
+    idx = np.arange(n_pts)
+    order = np.argsort(distances, axis=1, kind="stable")
+    neighbors = order[order != idx[:, None]].reshape(n_pts, n_pts - 1)[:, :k]
+    _, codes = np.unique(labels, return_inverse=True)
+    neighbor_codes = codes[neighbors]
+    votes = np.zeros((n_pts, codes.max() + 1), dtype=int)
+    np.add.at(votes, (idx[:, None], neighbor_codes), 1)
+    tied = votes == votes.max(axis=1, keepdims=True)
+    nearest_tied = np.take_along_axis(tied, neighbor_codes, axis=1).argmax(axis=1)
+    predictions = labels[neighbors[idx, nearest_tied]]
+    return float((predictions == labels).mean()), predictions

@@ -227,7 +227,8 @@ def _pga_row(method: str, model, points, labels, args) -> tuple:
     acc = ""
     if labels is not None:
         coeffs = pga_coordinates(model, points)
-        dists = np.linalg.norm(coeffs[:, None, :] - coeffs[None, :, :], axis=-1)
+        sq = (coeffs**2).sum(axis=1)
+        dists = np.sqrt(np.maximum(sq[:, None] + sq[None, :] - 2.0 * (coeffs @ coeffs.T), 0.0))
         acc, _ = knn_loo_from_distances(dists, labels, args.knn)
     return (method, acc, pga_explained_variance(model, points, args.m))
 
@@ -236,6 +237,8 @@ def cmd_shapes(args) -> int:
     shapes, labels = io.load_landmarks(args.landmarks)
     if args.supervised and labels is None:
         raise UsageError("--supervised requires a labeled landmark file")
+    if labels is not None and args.knn > len(shapes) - 1:
+        raise UsageError(f"--knn must be at most {len(shapes) - 1} (the number of other shapes), got {args.knn}")
     points = [kads_to_grassmann(s) for s in shapes]
     ambient = points[0].n
     fit_dim = args.m + 1  # reduce Gr(1, k-1) to Gr(1, m+1): manifold dimension m
@@ -281,11 +284,20 @@ def cmd_synth_shapes(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _int_at_least(low: int):
+    """argparse type: an integer no smaller than ``low``."""
+
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return integer
+
+
+_positive_int = _int_at_least(1)
+_nonnegative_int = _int_at_least(0)
 
 
 def _add_common_fit_options(sub, allow_both_metrics: bool = False) -> None:
@@ -306,8 +318,8 @@ def build_parser() -> argparse.ArgumentParser:
     fit.add_argument("dataset")
     fit.add_argument("-m", "--m", type=int, required=True, help="target ambient dimension (fit to Gr(p, m))")
     fit.add_argument("--supervised", action="store_true")
-    fit.add_argument("--k-within", type=int, default=5)
-    fit.add_argument("--k-between", type=int, default=5)
+    fit.add_argument("--k-within", type=_nonnegative_int, default=5)
+    fit.add_argument("--k-between", type=_nonnegative_int, default=5)
     fit.add_argument("--out", default="model.json")
     fit.add_argument("--report", default=None)
     fit.add_argument("--restarts", type=_positive_int, default=1)
@@ -338,9 +350,9 @@ def build_parser() -> argparse.ArgumentParser:
     shapes.add_argument("landmarks")
     shapes.add_argument("-m", "--m", type=int, required=True, help="reduced manifold dimension (to Gr(1, m+1) over C)")
     shapes.add_argument("--supervised", action="store_true")
-    shapes.add_argument("--knn", type=int, default=5)
-    shapes.add_argument("--k-within", type=int, default=5)
-    shapes.add_argument("--k-between", type=int, default=5)
+    shapes.add_argument("--knn", type=_positive_int, default=5)
+    shapes.add_argument("--k-within", type=_nonnegative_int, default=5)
+    shapes.add_argument("--k-between", type=_nonnegative_int, default=5)
     shapes.add_argument("--out", required=True)
     shapes.add_argument("--restarts", type=_positive_int, default=1)
     _add_common_fit_options(shapes)

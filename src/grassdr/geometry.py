@@ -273,16 +273,19 @@ def _batched_log_mats(base: np.ndarray, stacked: np.ndarray, cut_margin: float =
     return h - np.einsum("nq,iqp->inp", base, np.einsum("nq,inp->iqp", np.conj(base), h))
 
 
-def _pairwise_angles(stacked_a: np.ndarray, stacked_b: np.ndarray) -> np.ndarray:
-    gram = np.einsum("inp,jnq->ijpq", np.conj(stacked_a), stacked_b)
-    s = np.linalg.svd(gram, compute_uv=False)
+def _pairwise_angles(stacked: np.ndarray) -> np.ndarray:
+    """(N, N, p) angles from one (Np x Np) GEMM of all blocks X_i^H X_j; a 1 x 1 block's cosine is its modulus."""
+    n_pts, _, p = stacked.shape
+    flat = _columns(stacked)
+    cos = (adjoint(flat) @ flat).reshape(n_pts, p, n_pts, p).transpose(0, 2, 1, 3)
+    s = np.abs(cos[..., 0]) if p == 1 else np.linalg.svd(cos, compute_uv=False)
     return _angles_from_cosines(s)
 
 
 def pairwise_distances(points: Sequence[GrassmannPoint], metric: str = "geodesic") -> np.ndarray:
     """Symmetric N x N distance matrix under the chosen metric, zero diagonal."""
     stacked = points if isinstance(points, np.ndarray) else stack_points(points)
-    theta = _pairwise_angles(stacked, stacked)
+    theta = _pairwise_angles(stacked)
     if metric == "geodesic":
         d = np.sqrt((theta**2).sum(axis=-1))
     elif metric == "projection":

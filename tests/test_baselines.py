@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import grassdr as g
 from grassdr.baselines import knn_loo_from_distances, pga_coordinates
@@ -199,3 +201,49 @@ class TestPgaCoordinates:
         d = np.linalg.norm(coords[:, None, :] - coords[None, :, :], axis=-1)
         acc, preds = knn_loo_from_distances(d, labels, 3)
         assert 0.0 <= acc <= 1.0 and preds.shape == (8,)
+
+
+def knn_loo_reference(distances, labels, k):
+    """Per-row LOO kNN: the loop the vectorized ``knn_loo_from_distances`` replaced."""
+    labels = np.asarray(labels)
+    predictions = np.empty(labels.shape[0], dtype=labels.dtype)
+    for i in range(labels.shape[0]):
+        order = np.argsort(distances[i], kind="stable")
+        neighbors = order[order != i][:k]
+        classes, counts = np.unique(labels[neighbors], return_counts=True)
+        tied = classes[counts == counts.max()]
+        # the nearest neighbor whose class is among the tied ones wins
+        predictions[i] = next(labels[j] for j in neighbors if labels[j] in tied)
+    return float((predictions == labels).mean()), predictions
+
+
+@st.composite
+def tie_heavy_knn_cases(draw):
+    """Small symmetric integer distances (many ties), up to 4 int or str classes, any valid k."""
+    n = draw(st.integers(2, 10))
+    entries = draw(st.lists(st.integers(0, 3), min_size=n * n, max_size=n * n))
+    d = np.asarray(entries, dtype=float).reshape(n, n)
+    codes = np.asarray(draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)))
+    labels = np.array(["b", "a", "dd", "c"])[codes] if draw(st.booleans()) else codes * 5 - 7
+    return d + d.T, labels, draw(st.integers(1, n - 1))
+
+
+class TestKnnFromDistances:
+    @settings(max_examples=300, deadline=None)
+    @given(tie_heavy_knn_cases())
+    def test_matches_reference_loop(self, case):
+        distances, labels, k = case
+        acc, preds = knn_loo_from_distances(distances, labels, k)
+        ref_acc, ref_preds = knn_loo_reference(distances, labels, k)
+        assert acc == ref_acc
+        assert preds.dtype == ref_preds.dtype and np.array_equal(preds, ref_preds)
+
+    @pytest.mark.parametrize("k", (0, -1, 4, 10))
+    def test_k_outside_range_rejected(self, k):
+        with pytest.raises(ShapeError, match="k must be in"):
+            knn_loo_from_distances(np.ones((4, 4)), [0, 1, 0, 1], k)
+
+    @pytest.mark.parametrize("shape", ((4, 3), (3, 3), (4,), (4, 4, 1)))
+    def test_distance_shape_rejected(self, shape):
+        with pytest.raises(ShapeError, match="distances must be 4 x 4"):
+            knn_loo_from_distances(np.ones(shape), [0, 1, 0, 1], 1)

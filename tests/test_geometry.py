@@ -158,13 +158,29 @@ class TestDistances:
             assert abs(g.geodesic_distance(g.GrassmannPoint(r @ x.basis), g.GrassmannPoint(r @ y.basis)) - dg) < 1e-10
 
     def test_pairwise_matrix(self):
+        """Every entry equals the pair function, for p = 1 (no SVD) and p > 1, in both fields."""
         rng = np.random.default_rng(12)
-        pts = [random_point(rng, 5, 2) for _ in range(6)]
-        for metric, fn in (("geodesic", g.geodesic_distance), ("projection", g.projection_distance)):
-            d = g.pairwise_distances(pts, metric=metric)
-            assert np.allclose(d, d.T)
-            assert np.all(np.diag(d) == 0)
-            assert abs(d[1, 4] - fn(pts[1], pts[4])) < 1e-10
+        for field in FIELDS:
+            for p in (1, 2, 3):
+                pts = [random_point(rng, 5, p, field) for _ in range(6)]
+                for metric, fn in (("geodesic", g.geodesic_distance), ("projection", g.projection_distance)):
+                    d = g.pairwise_distances(pts, metric=metric)
+                    assert np.array_equal(d, d.T)
+                    assert np.all(np.diag(d) == 0)
+                    pairwise = np.array([[fn(x, y) for y in pts] for x in pts])
+                    assert np.abs(d - pairwise).max() < 1e-10, (field, p, metric)
+
+    @pytest.mark.parametrize("field", FIELDS)
+    @pytest.mark.parametrize("p", (1, 2, 3))
+    def test_pairwise_same_span_is_exactly_zero(self, field, p):
+        """A second basis of the same span (a unit phase, or a unitary for p > 1) measures 0 off the diagonal."""
+        rng = np.random.default_rng(16)
+        pts = [random_point(rng, 6, p, field) for _ in range(4)]
+        rotated = [g.GrassmannPoint(x.basis @ random_unitary(rng, p, field)) for x in pts]
+        for metric in ("geodesic", "projection"):
+            d = g.pairwise_distances(pts + rotated, metric=metric)
+            assert np.all(np.diag(d[:4, 4:]) == 0.0), metric
+            assert np.all(d[:4, :4][~np.eye(4, dtype=bool)] > 0.1)
 
 
 class TestExpLog:

@@ -402,6 +402,48 @@ class TestCliShapes:
         assert main(["shapes", str(shapes_path), "-m", "3", "--out", str(tmp_path / "t.csv")]) == 3
 
 
+class TestCliKnnOptions:
+    """Bad kNN options are usage errors (exit 2), caught before any fit runs."""
+
+    def _argvs(self, tmp_path):
+        """Supervised fit and shapes argument lists on 12 labeled inputs."""
+        data = g.generate(g.SynthConfig(N=12, n=5, m=2, p=1, sigma=0.1, seed=1))
+        data_path = tmp_path / "data.json"
+        io.save_dataset(data_path, data.points, [0, 1] * 6)
+        shapes_path = tmp_path / "shapes.csv"
+        assert main(["synth-shapes", "--count", "12", "--landmarks", "8", "--out", str(shapes_path)]) == 0
+        return (
+            ["fit", str(data_path), "-m", "3", "--supervised", "--max-iter", "5", "--out", str(tmp_path / "m.json")],
+            ["shapes", str(shapes_path), "-m", "2", "--max-iter", "5", "--out", str(tmp_path / "t.csv")],
+        )
+
+    @pytest.mark.parametrize("value", ("0", "-2"))
+    def test_knn_below_one_is_usage_error(self, tmp_path, capsys, value):
+        _, shapes_argv = self._argvs(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(shapes_argv + ["--knn", value])
+        assert exc.value.code == 2
+        assert "--knn" in capsys.readouterr().err
+        assert not (tmp_path / "t.csv").exists()
+
+    def test_knn_above_other_shapes_is_usage_error(self, tmp_path, capsys):
+        _, shapes_argv = self._argvs(tmp_path)
+        assert main(shapes_argv + ["--knn", "50"]) == 2
+        assert "--knn must be at most 11" in capsys.readouterr().err
+        assert not (tmp_path / "t.csv").exists()
+        assert main(shapes_argv + ["--knn", "11"]) == 0
+
+    @pytest.mark.parametrize("flag,value", (("--k-within", "-1"), ("--k-between", "-3")))
+    def test_negative_affinity_k_is_usage_error(self, tmp_path, capsys, flag, value):
+        fit_argv, shapes_argv = self._argvs(tmp_path)
+        for argv in (fit_argv, shapes_argv + ["--supervised"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv + [flag, value])
+            assert exc.value.code == 2, argv
+            assert flag in capsys.readouterr().err
+        assert not (tmp_path / "m.json").exists() and not (tmp_path / "t.csv").exists()
+
+
 class TestModuleEntryPoints:
     @pytest.mark.parametrize("module", ("grassdr", "grassdr.cli"))
     def test_python_dash_m_runs_the_cli(self, tmp_path, module):
