@@ -14,7 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DegenerateInputError, ShapeError, SupervisionDegenerateError, UndefinedRatioError
-from .geometry import GrassmannPoint, _batched_log_mats, frechet_mean, pairwise_distances, stack_points
+from .geometry import GrassmannPoint, _batched_log_mats, _mean_for, adjoint, pairwise_distances, stack_points
 
 
 @dataclass(frozen=True, eq=False)
@@ -52,31 +52,30 @@ def _unflatten_components(vectors: np.ndarray, shape: tuple[int, int], complex_f
 def _horizontal_orthonormal(components: np.ndarray, mean: GrassmannPoint) -> np.ndarray:
     """Project components to the horizontal space at ``mean`` and re-orthonormalize."""
     basis = mean.basis
-    horiz = components - np.einsum("nq,kqp->knp", basis, np.einsum("nq,knp->kqp", np.conj(basis), components))
+    horiz = components - basis @ (adjoint(basis) @ components)
     flat = _flatten_tangents(horiz).T  # (d, k)
     q, _ = np.linalg.qr(flat)
     ortho = q.T[: components.shape[0]]
     return _unflatten_components(ortho, basis.shape, np.iscomplexobj(basis))
 
 
-def _tangent_coordinates(dataset: Sequence[GrassmannPoint], mean: GrassmannPoint) -> np.ndarray:
-    stacked = stack_points(dataset)
-    logs = _batched_log_mats(mean.basis, stacked)
-    return _flatten_tangents(logs)
+def _tangent_coordinates(stacked: np.ndarray, mean: GrassmannPoint) -> np.ndarray:
+    return _flatten_tangents(_batched_log_mats(mean.basis, stacked))
 
 
-def pga_fit(dataset: Sequence[GrassmannPoint], num_components: int) -> PgaModel:
+def pga_fit(dataset: Sequence[GrassmannPoint], num_components: int, mean: GrassmannPoint | None = None) -> PgaModel:
     """Tangent PCA at the Frechet mean.
 
     Eigenvectors of the uncentered sample covariance of the log-mapped data
     (tangent vectors at the mean already average to approximately zero);
-    eigenvalues become the component variances. CutLocusError from the log
-    map propagates with the data index.
+    eigenvalues become the component variances. ``mean`` is the dataset's
+    Karcher mean if the caller has it; otherwise it is computed here.
     """
     if len(dataset) < 2:
         raise ShapeError("PGA needs at least two points")
-    mean = frechet_mean(dataset)
-    coords = _tangent_coordinates(dataset, mean)
+    stacked = stack_points(dataset)
+    mean = _mean_for(dataset, stacked, mean)
+    coords = _tangent_coordinates(stacked, mean)
     total = float((coords**2).sum(axis=1).mean())
     if total <= 1e-24:
         raise DegenerateInputError("all points coincide: tangent variance is zero")
@@ -96,7 +95,7 @@ def pga_explained_variance(model: PgaModel, dataset: Sequence[GrassmannPoint], k
     """Tangent variance captured by the model's top-k components, in [0, 1]."""
     if k < 0 or k > model.components.shape[0]:
         raise ShapeError(f"k must be in [0, {model.components.shape[0]}], got {k}")
-    coords = _tangent_coordinates(dataset, model.mean)
+    coords = _tangent_coordinates(stack_points(dataset), model.mean)
     total = float((coords**2).sum(axis=1).mean())
     if total <= 1e-24:
         raise UndefinedRatioError("zero total tangent variance")
@@ -107,42 +106,55 @@ def pga_explained_variance(model: PgaModel, dataset: Sequence[GrassmannPoint], k
     return captured / total
 
 
-def spga_fit(dataset: Sequence[GrassmannPoint], labels, num_components: int) -> PgaModel:
+def spga_fit(
+    dataset: Sequence[GrassmannPoint], labels, num_components: int, mean: GrassmannPoint | None = None
+) -> PgaModel:
     """Supervised PGA: supervised PCA in the tangent space at the Frechet mean.
 
-    Components are the leading eigenvectors of T H K H T^H with T the tangent
-    coordinate matrix, H the centering operator and K_ij = 1[y_i = y_j];
-    ``component_variances`` holds the corresponding eigenvalues (supervised
-    objective scores, not captured variances). With c classes, H K H and
-    hence T H K H T^H have rank at most c - 1: components past the first
-    c - 1 are arbitrary vectors of its null space, chosen by rounding in the
-    eigensolver.
+    The leading components are eigenvectors of T H K H T^H with T the
+    tangent coordinate matrix, H the centering operator and K_ij = 1[y_i = y_j].
+    With c classes that operator has rank at most c - 1, so only its
+    eigenvectors up to its numerical rank (eigenvalues above 1e-10 times the
+    largest, at most c - 1) are kept. The remaining components are the
+    leading eigenvectors of the tangent covariance T^H T / N restricted to
+    the orthogonal complement of the kept ones, so no component is a
+    null-space vector chosen by eigensolver rounding.
+    ``component_variances`` holds the operator's eigenvalues (supervised
+    objective scores, not captured variances), and 0 for the completion.
+    ``mean`` is as in ``pga_fit``.
     """
     labels = np.asarray(labels)
     if labels.shape[0] != len(dataset):
         raise ShapeError("labels length does not match dataset")
-    if np.unique(labels).size < 2:
+    n_classes = np.unique(labels).size
+    if n_classes < 2:
         raise SupervisionDegenerateError("supervised PGA needs at least two classes")
-    mean = frechet_mean(dataset)
-    coords = _tangent_coordinates(dataset, mean)
+    stacked = stack_points(dataset)
+    mean = _mean_for(dataset, stacked, mean)
+    coords = _tangent_coordinates(stacked, mean)
     n_pts, dim = coords.shape
     if not 1 <= num_components <= dim:
         raise ShapeError(f"num_components must be in [1, {dim}], got {num_components}")
     kernel = (labels[:, None] == labels[None, :]).astype(float)
     centering = np.eye(n_pts) - np.ones((n_pts, n_pts)) / n_pts
     operator = coords.T @ centering @ kernel @ centering @ coords
-    operator = 0.5 * (operator + operator.T)
-    eigvals, eigvecs = np.linalg.eigh(operator)
-    order = np.argsort(eigvals)[::-1][:num_components]
-    variances = np.clip(eigvals[order], 0.0, None)
-    raw = _unflatten_components(eigvecs[:, order].T, mean.basis.shape, np.iscomplexobj(mean.basis))
+    eigvals, eigvecs = np.linalg.eigh(0.5 * (operator + operator.T))
+    eigvals, eigvecs = eigvals[::-1], eigvecs[:, ::-1]
+    rank = int((eigvals > 1e-10 * eigvals[0]).sum()) if eigvals[0] > 0 else 0
+    rank = min(rank, n_classes - 1, num_components)
+    rest = eigvecs[:, rank:]
+    rest_coords = coords @ rest
+    _, fill = np.linalg.eigh(rest_coords.T @ rest_coords)
+    vectors = np.concatenate([eigvecs[:, :rank], rest @ fill[:, ::-1][:, : num_components - rank]], axis=1)
+    variances = np.concatenate([np.clip(eigvals[:rank], 0.0, None), np.zeros(num_components - rank)])
+    raw = _unflatten_components(vectors.T, mean.basis.shape, np.iscomplexobj(mean.basis))
     components = _horizontal_orthonormal(raw, mean)
     return PgaModel(mean, components, variances)
 
 
 def pga_coordinates(model: PgaModel, dataset: Sequence[GrassmannPoint]) -> np.ndarray:
     """Coefficients of each point on the model's components (N, k)."""
-    coords = _tangent_coordinates(dataset, model.mean)
+    coords = _tangent_coordinates(stack_points(dataset), model.mean)
     return coords @ _flatten_tangents(model.components).T
 
 

@@ -109,21 +109,26 @@ def two_class_shapes(
         raise ShapeError("need k > 2 landmarks")
     theta = 2.0 * np.pi * np.arange(k) / k
     harmonics = [h for h in range(2, n_modes + 4) if h != 4][:n_modes]
-    shapes: list[KAds] = []
-    labels = np.empty(n_shapes, dtype=int)
+    labels = np.arange(n_shapes) % 2
+    # Every random draw, in the per-shape order that fixes the output for a seed.
+    amplitude = np.empty((len(harmonics), n_shapes))
+    phase = np.empty((len(harmonics), n_shapes))
+    jitter, similarity = [], []
     for i in range(n_shapes):
-        label = i % 2
-        labels[i] = label
-        radius = np.ones(k)
-        for h in harmonics:
-            radius += rng.normal(0.0, nuisance) * np.cos(h * theta + rng.uniform(0.0, 2.0 * np.pi))
-        if label == 1:
-            radius = radius + deform * np.cos(4.0 * theta)
-        pts = np.stack([radius * np.cos(theta), radius * np.sin(theta)], axis=1)
-        pts += rng.normal(0.0, noise, size=pts.shape)
-        angle = rng.uniform(0.0, 2.0 * np.pi)
+        for j in range(len(harmonics)):
+            amplitude[j, i] = rng.normal(0.0, nuisance)
+            phase[j, i] = rng.uniform(0.0, 2.0 * np.pi)
+        jitter.append(rng.normal(0.0, noise, size=(k, 2)))
+        similarity.append((rng.uniform(0.0, 2.0 * np.pi), rng.uniform(0.5, 2.0), rng.uniform(-5.0, 5.0, size=2)))
+
+    radius = np.ones((n_shapes, k))
+    for h, amp, phi in zip(harmonics, amplitude, phase):
+        radius += amp[:, None] * np.cos(h * theta + phi[:, None])
+    radius[labels == 1] += deform * np.cos(4.0 * theta)
+
+    shapes: list[KAds] = []
+    for r, noise_i, (angle, scale, shift) in zip(radius, jitter, similarity):
+        pts = np.stack([r * np.cos(theta), r * np.sin(theta)], axis=1) + noise_i
         rot = np.array([[np.cos(angle), -np.sin(angle)], [np.sin(angle), np.cos(angle)]])
-        scale = rng.uniform(0.5, 2.0)
-        shift = rng.uniform(-5.0, 5.0, size=2)
         shapes.append(KAds(scale * pts @ rot.T + shift))
     return shapes, labels

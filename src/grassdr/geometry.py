@@ -209,20 +209,27 @@ def exp_map(x: GrassmannPoint, h: TangentVector, atol: float = EXP_TANGENT_ATOL)
         raise InvalidTangentError("tangent matrix is not horizontal at x")
     if not np.any(hm):
         return x
-    u, s, vh = np.linalg.svd(hm, full_matrices=False)
-    g = (x.basis @ adjoint(vh)) * np.cos(s)[None, :] + u * np.sin(s)[None, :]
-    return orthonormalize(g)
+    return GrassmannPoint(_exp_basis(x.basis, hm))
+
+
+def _exp_basis(base: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Canonical basis of exp_base(h) for a nonzero horizontal h; a geodesic keeps full rank."""
+    u, s, vh = np.linalg.svd(h, full_matrices=False)
+    return _canonical_qr((base @ adjoint(vh)) * np.cos(s) + u * np.sin(s))
 
 
 def log_map(x: GrassmannPoint, y: GrassmannPoint, cut_margin: float = CUT_LOCUS_MARGIN) -> TangentVector:
     """Inverse of exp_map at ``x``: the tangent H with exp_map(x, H) = y.
 
-    H = U arctan(S) V^H from the compact SVD of (I - X X^H) Y (X^H Y)^{-1}.
     Raises CutLocusError when the largest principal angle is within
-    ``cut_margin`` of pi/2 (X^H Y nearly singular).
+    ``cut_margin`` of pi/2, where the minimizing geodesic stops being unique
+    (the smallest singular value of X^H Y is at most sin(cut_margin)).
     """
     _check_pair(x, y)
-    return TangentVector(x, _batched_log_mats(x.basis, y.basis[None], cut_margin)[0])
+    smin = np.linalg.svd(adjoint(x.basis) @ y.basis, compute_uv=False)[-1]
+    if smin <= np.sin(cut_margin):
+        raise CutLocusError(f"largest principal angle within {cut_margin:.1e} of pi/2")
+    return TangentVector(x, _batched_log_mats(x.basis, y.basis[None])[0])
 
 
 def sample_stiefel_uniform(n: int, p: int, field: str = "real", *, rng: np.random.Generator) -> GrassmannPoint:
@@ -258,19 +265,31 @@ def stack_points(points: Sequence[GrassmannPoint]) -> np.ndarray:
     return np.stack([pt.basis for pt in points])
 
 
-def _batched_log_mats(base: np.ndarray, stacked: np.ndarray, cut_margin: float = CUT_LOCUS_MARGIN) -> np.ndarray:
-    """Log-map matrices of many points at one base, stacked as (N, n, p)."""
-    m = np.einsum("nq,inp->iqp", np.conj(base), stacked)
-    smin = np.linalg.svd(m, compute_uv=False)[..., -1]
-    bad = np.nonzero(smin <= np.sin(cut_margin))[0]
-    if bad.size:
-        raise CutLocusError(
-            f"point {bad[0]}: largest principal angle within {cut_margin:.1e} of pi/2"
-        )
-    g = (stacked - np.einsum("nq,iqp->inp", base, m)) @ np.linalg.inv(m)
-    u, s, vh = np.linalg.svd(g, full_matrices=False)
-    h = (u * np.arctan(s)[:, None, :]) @ vh
-    return h - np.einsum("nq,iqp->inp", base, np.einsum("nq,inp->iqp", np.conj(base), h))
+def _batched_log_mats(base: np.ndarray, stacked: np.ndarray) -> np.ndarray:
+    """Log-map matrices of many points at one base, stacked as (N, n, p).
+
+    With the SVD X^H Y = U C V^H, the residual Y V - X U C = (I - X X^H) Y V
+    has orthogonal columns whose norms are the principal sines, and
+    H = resid diag(theta / sin) U^H with theta = arctan2(sin, C) (Bendokat,
+    Zimmermann & Absil, "A Grassmann manifold handbook"). There is no
+    inverse, so a point on the cut locus (theta = pi/2) maps to one of its
+    minimizing geodesics, and small angles come from sines.
+    """
+    m = adjoint(base) @ stacked
+    line = m.shape[-1] == 1
+    if line:
+        # A 1 x 1 block's SVD is its modulus times a phase, with V = 1: no
+        # SVD, and every product below is elementwise.
+        c = np.abs(m[..., 0])
+        u = np.divide(m, c[..., None], out=np.ones_like(m), where=c[..., None] > 0)
+        resid = stacked - base * m
+    else:
+        u, c, vh = np.linalg.svd(m)
+        resid = stacked @ adjoint(vh) - base @ (u * c[:, None, :])
+    sin = np.linalg.norm(resid, axis=1)
+    ratio = np.divide(np.arctan2(sin, c), sin, out=np.ones_like(sin), where=sin > 0)
+    scale = ratio[:, :, None] * adjoint(u)
+    return resid * scale if line else resid @ scale
 
 
 def _pairwise_angles(stacked: np.ndarray) -> np.ndarray:
@@ -323,18 +342,28 @@ def frechet_mean(
     converges to it; beyond it the start selects the stationary point.
     Always takes the unit step and returns once the gradient norm drops to
     ``tol``. Raises ConvergenceError (carrying the last iterate) after
-    ``max_iter`` sweeps, and propagates CutLocusError from the log map.
+    ``max_iter`` sweeps. The log map is defined on the whole manifold, so
+    no point raises CutLocusError.
     """
     if len(points) == 0:
         raise ShapeError("frechet_mean of an empty sequence")
     stacked = stack_points(points)
-    mu = GrassmannPoint(_leading_left_singular_vectors(stacked, stacked.shape[2]))
+    mu = _leading_left_singular_vectors(stacked, stacked.shape[2])
     for _ in range(max_iter):
-        g = _batched_log_mats(mu.basis, stacked).mean(axis=0)
+        g = _batched_log_mats(mu, stacked).mean(axis=0)
         if np.linalg.norm(g) <= tol:
-            return mu
-        mu = exp_map(mu, TangentVector(mu, g))
+            return GrassmannPoint(mu)
+        mu = _exp_basis(mu, g)
     raise ConvergenceError(
         f"Karcher iteration did not reach gradient norm {tol:.1e} in {max_iter} steps",
-        result=mu,
+        result=GrassmannPoint(mu),
     )
+
+
+def _mean_for(points: Sequence[GrassmannPoint], stacked: np.ndarray, mean: GrassmannPoint | None) -> GrassmannPoint:
+    """``mean`` checked against the stacked data, or the Karcher mean of ``points`` when it is None."""
+    if mean is None:
+        return frechet_mean(points)
+    if not isinstance(mean, GrassmannPoint) or mean.basis.shape != stacked.shape[1:] or mean.basis.dtype != stacked.dtype:
+        raise ShapeError(f"mean must be a GrassmannPoint with the data's (n, p) = {stacked.shape[1:]} and field")
+    return mean

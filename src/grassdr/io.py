@@ -161,9 +161,7 @@ def save_landmarks(path, shapes: Sequence[KAds], labels=None) -> None:
         writer = csv.writer(fh)
         for i, shape in enumerate(shapes):
             row = [] if labels is None else [str(labels[i])]
-            for x, y in shape.points:
-                row += [repr(float(x)), repr(float(y))]
-            writer.writerow(row)
+            writer.writerow(row + list(map(repr, shape.points.ravel().tolist())))
 
 
 def load_landmarks(path) -> tuple[list[KAds], np.ndarray | None]:

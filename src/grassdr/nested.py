@@ -39,6 +39,7 @@ from .geometry import (
     _canonical_qr,
     _columns,
     _leading_left_singular_vectors,
+    _mean_for,
     adjoint,
     frechet_mean,
     orthonormalize,
@@ -161,7 +162,7 @@ def project_dataset(nmap: NestedMap, points: Sequence[GrassmannPoint]) -> list[G
     stacked = stack_points(points)
     if stacked.shape[1] != nmap.n or stacked.shape[2] != nmap.p:
         raise ShapeError("dataset dims do not match the map")
-    y = np.einsum("nm,inp->imp", np.conj(nmap.A), stacked)
+    y = adjoint(nmap.A) @ stacked
     s = np.linalg.svd(y, compute_uv=False)
     bad = np.nonzero(s[:, -1] < 1e-12 * np.maximum(s[:, 0], np.finfo(float).tiny))[0]
     if bad.size:
@@ -370,21 +371,29 @@ def loss_supervised(
 # ---------------------------------------------------------------------------
 
 
-def variance(points: Sequence[GrassmannPoint]) -> float:
-    """Frechet variance: mean squared geodesic distance to the Karcher mean."""
+def variance(points: Sequence[GrassmannPoint], mean: GrassmannPoint | None = None) -> float:
+    """Frechet variance: mean squared geodesic distance to the Karcher mean.
+
+    A caller that already holds the dataset's mean passes it as ``mean``;
+    otherwise it is computed here.
+    """
     stacked = stack_points(points)
-    mu = frechet_mean(points)
-    gram = np.einsum("nq,inp->iqp", np.conj(mu.basis), stacked)
-    s = np.linalg.svd(gram, compute_uv=False)
+    mu = _mean_for(points, stacked, mean)
+    s = np.linalg.svd(adjoint(mu.basis) @ stacked, compute_uv=False)
     theta = _angles_from_cosines(s)
     return float((theta**2).sum(axis=-1).mean())
 
 
-def explained_variance_ratio(nmap: NestedMap, dataset: Sequence[GrassmannPoint]) -> float:
-    """Variance of the projected points over the variance of the originals."""
+def explained_variance_ratio(
+    nmap: NestedMap, dataset: Sequence[GrassmannPoint], mean: GrassmannPoint | None = None
+) -> float:
+    """Variance of the projected points over the variance of the originals.
+
+    ``mean`` is the Karcher mean of ``dataset``, if the caller has it.
+    """
     if len(dataset) < 2:
         raise ShapeError("need at least two points for a variance ratio")
-    var_orig = variance(dataset)
+    var_orig = variance(dataset, mean=mean)
     if var_orig <= 1e-24:
         raise UndefinedRatioError("original dataset has zero Frechet variance")
     var_proj = variance(project_dataset(nmap, dataset))
@@ -443,24 +452,28 @@ def fit_unsupervised(
     config: OptimizerConfig | None = None,
     rng: np.random.Generator | None = None,
     restarts: int = 1,
+    mean: GrassmannPoint | None = None,
 ) -> FitReport:
     """Fit the unsupervised nested model by minimizing reconstruction error.
 
     Optimizes over span(A) in Gr(m, n) and an unconstrained B-tilde; the
     returned map stores B = (I - A A^H) B-tilde. A is initialized from the
     m leading left singular vectors of the column-stacked data; additional
-    restarts (seeded by ``rng``) keep the best final loss.
+    restarts (seeded by ``rng``) keep the best final loss. ``mean``, the
+    dataset's Karcher mean if the caller has it, goes to the explained
+    variance.
     """
     _check_metric(metric)
     stacked = stack_points(dataset)
     _, p = _fit_dims(stacked, m)
+    mean = _mean_for(dataset, stacked, mean)
 
     def loss(a, b):
         return unsupervised_loss_and_grad(a, b, stacked, metric)
 
     best = _best_of_restarts(loss, stacked, m, p, config, rng, restarts)
     nmap = NestedMap.from_unprojected(best.point.A, best.point.B)
-    ratio = explained_variance_ratio(nmap, dataset)
+    ratio = explained_variance_ratio(nmap, dataset, mean=mean)
     return FitReport(nmap, best.loss_trace, ratio, best.iterations, best.converged)
 
 
@@ -474,11 +487,13 @@ def fit_supervised(
     config: OptimizerConfig | None = None,
     rng: np.random.Generator | None = None,
     restarts: int = 1,
+    mean: GrassmannPoint | None = None,
 ) -> FitReport:
     """Fit the supervised nested model (B fixed at zero).
 
     Builds the affinity from ambient projection distances, then minimizes the
-    affinity-weighted pairwise loss over span(A) in Gr(m, n).
+    affinity-weighted pairwise loss over span(A) in Gr(m, n). ``mean`` is as
+    in ``fit_unsupervised``.
     """
     _check_metric(metric)
     stacked = stack_points(dataset)
@@ -490,6 +505,7 @@ def fit_supervised(
         raise SupervisionDegenerateError(
             "supervised fit needs at least two classes; use fit_unsupervised instead"
         )
+    mean = _mean_for(dataset, stacked, mean)
     distances = pairwise_distances(stacked, metric="projection")
     affinity = build_affinity(labels, distances, k_w, k_b)
 
@@ -498,7 +514,7 @@ def fit_supervised(
 
     best = _best_of_restarts(loss, stacked, m, 0, config, rng, restarts)
     nmap = NestedMap(best.point.A, np.zeros((n, p), dtype=stacked.dtype))
-    ratio = explained_variance_ratio(nmap, dataset)
+    ratio = explained_variance_ratio(nmap, dataset, mean=mean)
     return FitReport(nmap, best.loss_trace, ratio, best.iterations, best.converged)
 
 
@@ -511,16 +527,21 @@ def nested_sequence(
 ) -> list[SequenceEntry]:
     """Fit one model per candidate dimension and report the variance ratios.
 
-    Fits are independent; per-fit failures are recorded in the entry and the
-    scan continues. ``dims`` must be strictly increasing.
+    Fits are independent and share the dataset's Karcher mean; per-fit
+    failures are recorded in the entry and the scan continues. ``dims`` must
+    be strictly increasing.
     """
     dims = list(dims)
     if any(b <= a for a, b in zip(dims, dims[1:])):
         raise ShapeError("dims must be strictly increasing")
+    try:
+        mean = frechet_mean(dataset)
+    except GrassdrError:
+        mean = None  # each fit computes it again and records the error
     entries: list[SequenceEntry] = []
     for m in dims:
         try:
-            report = fit_unsupervised(dataset, m, metric=metric, config=config, rng=rng)
+            report = fit_unsupervised(dataset, m, metric=metric, config=config, rng=rng, mean=mean)
             entries.append(SequenceEntry(m, report.explained_variance_ratio, report=report))
         except GrassdrError as exc:
             entries.append(SequenceEntry(m, float("nan"), error=str(exc)))

@@ -4,9 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import grassdr as g
-from grassdr.baselines import knn_loo_from_distances, pga_coordinates
+from grassdr.baselines import _flatten_tangents, _tangent_coordinates, knn_loo_from_distances, pga_coordinates
 from grassdr.errors import DegenerateInputError, ShapeError, SupervisionDegenerateError
-from grassdr.geometry import adjoint
+from grassdr.geometry import adjoint, stack_points
 
 
 def geodesic_family(rng, n=6, count=10, spread=0.5):
@@ -111,6 +111,24 @@ class TestSpga:
         pts, labels, _ = self._planted(rng)
         model = g.spga_fit(pts, labels, 3)
         assert np.all(np.diff(model.component_variances) <= 1e-10)
+
+
+    def test_components_past_rank_complete_from_tangent_covariance(self):
+        # Two classes: the supervised operator has rank 1, so components 2
+        # and 3 are the leading tangent-covariance directions orthogonal to
+        # the first, not null-space vectors picked by rounding.
+        rng = np.random.default_rng(9)
+        pts, labels, _ = self._planted(rng)
+        model = g.spga_fit(pts, labels, 3)
+        assert model.component_variances[0] > 0.0
+        assert np.all(model.component_variances[1:] == 0.0)
+        flat = _flatten_tangents(model.components)
+        assert np.allclose(flat @ flat.T, np.eye(3), atol=1e-12)
+        coords = _tangent_coordinates(stack_points(pts), model.mean)
+        rest = coords - np.outer(coords @ flat[0], flat[0])
+        top = np.linalg.eigvalsh(rest.T @ rest / len(pts))[::-1][:2]
+        captured = ((coords @ flat[1:].T) ** 2).mean(axis=0)
+        assert np.allclose(captured, top, rtol=1e-9, atol=1e-14)
 
 
 class TestGknn:

@@ -3,6 +3,7 @@ import pytest
 
 import grassdr as g
 from grassdr.errors import ShapeError
+from grassdr.shape import KAds
 
 
 class TestSynthConfig:
@@ -61,7 +62,39 @@ class TestGenerate:
         assert all(pt.n == 10 and pt.p == 1 for pt in data.points)
 
 
+def _two_class_shapes_loop(n_shapes, k, *, rng, deform=0.25, nuisance=0.12, n_modes=30, noise=0.003):
+    """Reference generator: one shape at a time, every operation in draw order."""
+    theta = 2.0 * np.pi * np.arange(k) / k
+    harmonics = [h for h in range(2, n_modes + 4) if h != 4][:n_modes]
+    shapes = []
+    labels = np.empty(n_shapes, dtype=int)
+    for i in range(n_shapes):
+        label = i % 2
+        labels[i] = label
+        radius = np.ones(k)
+        for h in harmonics:
+            radius += rng.normal(0.0, nuisance) * np.cos(h * theta + rng.uniform(0.0, 2.0 * np.pi))
+        if label == 1:
+            radius = radius + deform * np.cos(4.0 * theta)
+        pts = np.stack([radius * np.cos(theta), radius * np.sin(theta)], axis=1)
+        pts += rng.normal(0.0, noise, size=pts.shape)
+        angle = rng.uniform(0.0, 2.0 * np.pi)
+        rot = np.array([[np.cos(angle), -np.sin(angle)], [np.sin(angle), np.cos(angle)]])
+        scale = rng.uniform(0.5, 2.0)
+        shift = rng.uniform(-5.0, 5.0, size=2)
+        shapes.append(KAds(scale * pts @ rot.T + shift))
+    return shapes, labels
+
+
 class TestTwoClassShapes:
+    @pytest.mark.parametrize("count,landmarks,seed", [(2, 3, 0), (7, 8, 1), (40, 100, 3), (50, 50, 7), (13, 17, [5, 0])])
+    def test_matches_reference_loop(self, count, landmarks, seed):
+        got, got_labels = g.two_class_shapes(count, landmarks, rng=np.random.default_rng(seed))
+        want, want_labels = _two_class_shapes_loop(count, landmarks, rng=np.random.default_rng(seed))
+        assert np.array_equal(got_labels, want_labels)
+        for a, b in zip(got, want, strict=True):
+            assert np.array_equal(a.points, b.points)
+
     def test_shapes_and_labels(self):
         rng = np.random.default_rng(5)
         shapes, labels = g.two_class_shapes(20, 50, rng=rng)

@@ -9,7 +9,7 @@ from grassdr.errors import (
     InvalidTangentError,
     ShapeError,
 )
-from grassdr.geometry import adjoint
+from grassdr.geometry import _batched_log_mats, adjoint
 
 FIELDS = ("real", "complex")
 
@@ -27,6 +27,14 @@ def projector_distance(x, y):
     px = x.basis @ adjoint(x.basis)
     py = y.basis @ adjoint(y.basis)
     return float(np.linalg.norm(px - py)) / np.sqrt(2.0)
+
+
+def log_mats_by_inverse(base, stacked):
+    """Reference log map: U arctan(S) V^H from the SVD of (I - X X^H) Y (X^H Y)^{-1}."""
+    m = adjoint(base) @ stacked
+    u, s, vh = np.linalg.svd((stacked - base @ m) @ np.linalg.inv(m), full_matrices=False)
+    h = (u * np.arctan(s)[:, None, :]) @ vh
+    return h - base @ (adjoint(base) @ h)
 
 
 def angles_oracle(x, y):
@@ -235,6 +243,28 @@ class TestExpLog:
     def test_cut_locus_error(self):
         x = g.GrassmannPoint(np.array([[1.0], [0.0]]))
         y = g.GrassmannPoint(np.array([[0.0], [1.0]]))
+        with pytest.raises(CutLocusError):
+            g.log_map(x, y)
+
+    @pytest.mark.parametrize("field", FIELDS)
+    @pytest.mark.parametrize("p", (1, 2, 3))
+    def test_batched_log_matches_inverse_formula(self, field, p):
+        rng = np.random.default_rng(30 + p)
+        x = random_point(rng, 7, p, field)
+        ys = [random_point(rng, 7, p, field) for _ in range(60)]
+        ys = np.stack([y.basis for y in ys if g.principal_angles(x, y).max() < 1.4])
+        assert len(ys) >= 10
+        got = _batched_log_mats(x.basis, ys)
+        assert np.abs(got - log_mats_by_inverse(x.basis, ys)).max() < 1e-12
+
+    @pytest.mark.parametrize("x_cols,y_cols", [([0], [1]), ([0, 1], [0, 2])])
+    def test_batched_log_on_the_cut_locus(self, x_cols, y_cols):
+        x = g.GrassmannPoint(np.eye(3)[:, x_cols])
+        y = g.GrassmannPoint(np.eye(3)[:, y_cols])
+        h = _batched_log_mats(x.basis, y.basis[None])[0]
+        assert np.abs(adjoint(x.basis) @ h).max() == 0.0
+        assert abs(np.linalg.norm(h) - np.pi / 2) < 1e-15
+        assert g.exp_map(x, g.TangentVector(x, h)).same_subspace(y)
         with pytest.raises(CutLocusError):
             g.log_map(x, y)
 

@@ -7,8 +7,10 @@ moves these numbers on purpose regenerates the files with
     PYTHONPATH=src python tests/test_golden.py
 
 and lists the old and new values in CHANGES.md. Run that way, the module
-pins OpenBLAS to one thread before numpy loads: the spga row of the shapes
-pipeline depends on the thread count.
+pins OpenBLAS to one thread before numpy loads, so that regenerated files
+come from one fixed floating-point order whatever the machine's default.
+``test_shapes_output_does_not_depend_on_the_thread_count`` runs the
+supervised shapes pipeline at one and two OpenBLAS threads and compares.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import csv
 import json
 import os
 import shutil
+import subprocess
 import sys
 from pathlib import Path
 
@@ -124,6 +127,24 @@ def test_output_matches_golden(workdir, name, argv):
         _compare_csv(got, GOLDEN / name)
     else:
         _compare_report(got, GOLDEN / name)
+
+
+def test_shapes_output_does_not_depend_on_the_thread_count(workdir):
+    name, argv = RUNS[4]
+    assert name == "shapes3_supervised.csv"
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        out = f"threads{threads}.csv"
+        proc = subprocess.run(
+            [sys.executable, "-m", "grassdr", *argv, "--out", out],
+            cwd=workdir, env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(workdir / out)
+    _compare_csv(*outputs)
 
 
 def regenerate(workdir: Path) -> None:

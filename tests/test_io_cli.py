@@ -306,6 +306,26 @@ class TestCliSynth:
         assert len(lines) == 1 + 2 * 2  # reps x metrics
         assert all(line.split(",")[7] in ("ok", "no-convergence") for line in lines[1:])
 
+    def test_table1_rep_computes_each_mean_once(self, tmp_path, monkeypatch):
+        # One dataset mean shared by PGA and the five fits, plus one mean per
+        # projected dataset: 6 Karcher means where each fit and PGA used to
+        # recompute the dataset's own (11).
+        calls = []
+        original = g.frechet_mean
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if name == "grassdr" or name.startswith("grassdr."):
+                for attr, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, attr, counted)
+        argv = ["synth", "--preset", "table1", "--reps", "1", "--max-iter", "5", "--no-timing"]
+        assert main(argv + ["--out", str(tmp_path / "t.csv")]) == 0
+        assert len(calls) == 6
+
     def test_preset_required_or_dims(self, tmp_path):
         assert main(["synth", "--out", str(tmp_path / "x.csv")]) == 2
 

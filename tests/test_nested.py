@@ -454,6 +454,47 @@ class TestVariance:
         assert np.linalg.norm(grad) <= 1e-9
 
 
+    def test_given_mean_gives_the_same_results(self):
+        data = g.generate(g.SynthConfig(N=20, n=8, m=4, p=2, sigma=0.2, seed=38))
+        pts = data.points
+        mu = g.frechet_mean(pts)
+        assert g.variance(pts, mean=mu) == g.variance(pts)
+        assert g.explained_variance_ratio(data.map, pts, mean=mu) == g.explained_variance_ratio(data.map, pts)
+        config = g.OptimizerConfig(max_iter=20)
+        with_mean = g.fit_unsupervised(pts, 5, config=config, mean=mu)
+        without = g.fit_unsupervised(pts, 5, config=config)
+        assert with_mean.explained_variance_ratio == without.explained_variance_ratio
+        assert with_mean.loss_trace == without.loss_trace
+
+    @pytest.mark.parametrize("n,p,field", [(7, 2, "real"), (8, 1, "real"), (8, 2, "complex")])
+    def test_mismatched_mean_rejected(self, n, p, field):
+        rng = np.random.default_rng(39)
+        pts = random_dataset(rng, 6, 8, 2)
+        labels = [0, 1] * 3
+        wrong = g.sample_stiefel_uniform(n, p, field, rng=rng)
+        config = g.OptimizerConfig(max_iter=2)
+        calls = [
+            lambda: g.variance(pts, mean=wrong),
+            lambda: g.explained_variance_ratio(random_map(rng, 8, 4, 2), pts, mean=wrong),
+            lambda: g.fit_unsupervised(pts, 4, config=config, mean=wrong),
+            lambda: g.fit_supervised(pts, labels, 4, config=config, mean=wrong),
+            lambda: g.pga_fit(pts, 2, mean=wrong),
+            lambda: g.spga_fit(pts, labels, 2, mean=wrong),
+        ]
+        for call in calls:
+            with pytest.raises(ShapeError, match="mean"):
+                call()
+
+    def test_karcher_path_through_the_cut_locus(self):
+        # The Karcher iteration on this fit's projected data passes within
+        # 1e-5 of a point's cut locus; a log map built on (X^H Y)^{-1}
+        # raised CutLocusError there.
+        data = g.generate(g.SynthConfig(N=50, n=30, m=20, p=2, sigma=0.1, seed=42002))
+        report = g.fit_unsupervised(data.points, 5, config=g.OptimizerConfig(max_iter=100))
+        assert np.isfinite(report.explained_variance_ratio)
+        assert 0.0 < report.explained_variance_ratio < 1.0
+
+
 class TestNestedSequence:
     def test_empty_dims(self):
         rng = np.random.default_rng(34)
