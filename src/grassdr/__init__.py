@@ -37,6 +37,7 @@ from .nested import (
     NestedMap,
     SequenceEntry,
     build_affinity,
+    dataset_reference,
     embed_point,
     explained_variance_ratio,
     fit_supervised,

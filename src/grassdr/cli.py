@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from typing import NamedTuple
 
 import numpy as np
 
@@ -18,8 +19,8 @@ from . import __version__, io
 from .baselines import gknn_loo, knn_loo_from_distances, pga_coordinates, pga_explained_variance, pga_fit, spga_fit
 from .datagen import SynthConfig, generate, two_class_shapes
 from .errors import ConvergenceError, GrassdrError
-from .geometry import frechet_mean
-from .nested import fit_supervised, fit_unsupervised, project_dataset, reconstruct_point
+from .geometry import GrassmannPoint
+from .nested import dataset_reference, fit_supervised, fit_unsupervised, project_dataset, reconstruct_point
 from .optim import OptimizerConfig
 from .shape import kads_to_grassmann
 
@@ -124,19 +125,31 @@ def _rep_seed(seed: int, rep: int) -> int:
     return seed + rep
 
 
-def _dataset_mean(points):
-    """Karcher mean shared by every fit on a synth dataset; None if it fails, so each row reports the error."""
-    try:
-        return frechet_mean(points)
-    except GrassdrError:
-        return None
+class _Shared(NamedTuple):
+    """A synth dataset's ``dataset_reference`` and the seconds it took.
+
+    Every row that uses the shared mean adds those seconds to its runtime, so
+    a row reports what its fit costs end to end.
+    """
+
+    mean: GrassmannPoint | None
+    variance: float | None
+    seconds: float
 
 
-def _ng_row(preset, rep, level, points, mean, fit_dim, metric, config, timing) -> tuple:
+def _shared(points) -> _Shared:
+    start = time.perf_counter()
+    mean, var = dataset_reference(points)
+    return _Shared(mean, var, time.perf_counter() - start)
+
+
+def _ng_row(preset, rep, level, points, shared, fit_dim, metric, config, timing) -> tuple:
     """One nested-model row: its explained variance, or an ``error: ...`` status."""
     try:
-        start = time.perf_counter()
-        report = fit_unsupervised(points, fit_dim, metric=metric, config=config, mean=mean)
+        start = time.perf_counter() - shared.seconds
+        report = fit_unsupervised(
+            points, fit_dim, metric=metric, config=config, dataset_variance=shared.variance,
+        )
         runtime = _elapsed(start, timing)
     except GrassdrError as exc:
         return (preset, rep, level, "ng", metric, "", "", f"error: {exc}")
@@ -148,9 +161,9 @@ def _rows_fig3(rep: int, args, config) -> list[tuple]:
     rows = []
     for sigma in range(1, 11):
         data = generate(SynthConfig(N=50, n=10, m=3, p=1, sigma=float(sigma), seed=_rep_seed(args.seed, rep) * 100 + sigma))
-        mean = _dataset_mean(data.points)
+        shared = _shared(data.points)
         for metric in ("projection", "geodesic"):
-            rows.append(_ng_row("fig3", rep, sigma, data.points, mean, 3, metric, config, args.timing))
+            rows.append(_ng_row("fig3", rep, sigma, data.points, shared, 3, metric, config, args.timing))
     return rows
 
 
@@ -159,11 +172,11 @@ def _rows_fig4(rep: int, args, config) -> list[tuple]:
     timing = args.timing
     for idx, sigma in enumerate((0.01, 0.25, 0.5, 1.0, 1.5, 2.0)):
         data = generate(SynthConfig(N=50, n=10, m=5, p=2, sigma=sigma, seed=_rep_seed(args.seed, rep) * 100 + idx))
-        mean = _dataset_mean(data.points)
-        rows.append(_ng_row("fig4", rep, sigma, data.points, mean, 3, "projection", config, timing))
+        shared = _shared(data.points)
+        rows.append(_ng_row("fig4", rep, sigma, data.points, shared, 3, "projection", config, timing))
         try:
-            start = time.perf_counter()
-            model = pga_fit(data.points, 2, mean=mean)
+            start = time.perf_counter() - shared.seconds
+            model = pga_fit(data.points, 2, mean=shared.mean)
             ev = pga_explained_variance(model, data.points, 2)
             rows.append(("fig4", rep, sigma, "pga", "tpca", ev, _elapsed(start, timing), "ok"))
         except GrassdrError as exc:
@@ -176,11 +189,11 @@ def _rows_table1(rep: int, args, config) -> list[tuple]:
     timing = args.timing
     mdims = (2, 4, 6, 8, 10)
     data = generate(SynthConfig(N=50, n=30, m=20, p=2, sigma=0.1, seed=_rep_seed(args.seed, rep)))
-    mean = _dataset_mean(data.points)
+    shared = _shared(data.points)
     pga_model = None
     try:
-        start = time.perf_counter()
-        pga_model = pga_fit(data.points, max(mdims), mean=mean)
+        start = time.perf_counter() - shared.seconds
+        pga_model = pga_fit(data.points, max(mdims), mean=shared.mean)
         pga_time = _elapsed(start, timing)
     except GrassdrError as exc:
         for mdim in mdims:
@@ -191,7 +204,7 @@ def _rows_table1(rep: int, args, config) -> list[tuple]:
             rows.append(("table1", rep, mdim, "pga", "tpca", ev, pga_time, "ok"))
     for mdim in mdims:
         fit_dim = mdim // 2 + 2  # Gr(2, mdim/2 + 2) has dimension mdim
-        rows.append(_ng_row("table1", rep, mdim, data.points, mean, fit_dim, "projection", config, timing))
+        rows.append(_ng_row("table1", rep, mdim, data.points, shared, fit_dim, "projection", config, timing))
     return rows
 
 
@@ -202,9 +215,9 @@ def _rows_custom(rep: int, args, config) -> list[tuple]:
         p=args.subspace_dim, sigma=args.sigma, seed=_rep_seed(args.seed, rep),
     ))
     fit_dim = args.fit_dim if args.fit_dim is not None else args.planted_dim
-    mean = _dataset_mean(data.points)
+    shared = _shared(data.points)
     return [
-        _ng_row("custom", rep, args.sigma, data.points, mean, fit_dim, metric, config, args.timing)
+        _ng_row("custom", rep, args.sigma, data.points, shared, fit_dim, metric, config, args.timing)
         for metric in metrics
     ]
 
@@ -268,9 +281,9 @@ def cmd_shapes(args) -> int:
         acc_raw, _ = gknn_loo(points, labels, k=args.knn)
         rows.append(("raw", acc_raw, ""))
 
-    mean = frechet_mean(points)
+    mean, var = dataset_reference(points)
     report = fit_unsupervised(
-        points, fit_dim, metric=args.metric, config=config, rng=rng, restarts=args.restarts, mean=mean,
+        points, fit_dim, metric=args.metric, config=config, rng=rng, restarts=args.restarts, dataset_variance=var,
     )
     rows.append(_nested_row("ng", report, points, labels, args))
     rows.append(_pga_row("pga", pga_fit(points, args.m, mean=mean), points, labels, args))
@@ -279,7 +292,7 @@ def cmd_shapes(args) -> int:
         sng = fit_supervised(
             points, labels, fit_dim, metric=args.metric,
             k_w=args.k_within, k_b=args.k_between,
-            config=config, rng=rng, restarts=args.restarts, mean=mean,
+            config=config, rng=rng, restarts=args.restarts, dataset_variance=var,
         )
         rows.append(_nested_row("sng", sng, points, labels, args))
         rows.append(_pga_row("spga", spga_fit(points, labels, args.m, mean=mean), points, labels, args))

@@ -275,21 +275,11 @@ def _batched_log_mats(base: np.ndarray, stacked: np.ndarray) -> np.ndarray:
     inverse, so a point on the cut locus (theta = pi/2) maps to one of its
     minimizing geodesics, and small angles come from sines.
     """
-    m = adjoint(base) @ stacked
-    line = m.shape[-1] == 1
-    if line:
-        # A 1 x 1 block's SVD is its modulus times a phase, with V = 1: no
-        # SVD, and every product below is elementwise.
-        c = np.abs(m[..., 0])
-        u = np.divide(m, c[..., None], out=np.ones_like(m), where=c[..., None] > 0)
-        resid = stacked - base * m
-    else:
-        u, c, vh = np.linalg.svd(m)
-        resid = stacked @ adjoint(vh) - base @ (u * c[:, None, :])
+    u, c, vh = np.linalg.svd(adjoint(base) @ stacked)
+    resid = stacked @ adjoint(vh) - base @ (u * c[:, None, :])
     sin = np.linalg.norm(resid, axis=1)
     ratio = np.divide(np.arctan2(sin, c), sin, out=np.ones_like(sin), where=sin > 0)
-    scale = ratio[:, :, None] * adjoint(u)
-    return resid * scale if line else resid @ scale
+    return resid @ (ratio[:, :, None] * adjoint(u))
 
 
 def _pairwise_angles(stacked: np.ndarray) -> np.ndarray:

@@ -384,16 +384,34 @@ def variance(points: Sequence[GrassmannPoint], mean: GrassmannPoint | None = Non
     return float((theta**2).sum(axis=-1).mean())
 
 
+def dataset_reference(dataset: Sequence[GrassmannPoint]) -> tuple[GrassmannPoint | None, float | None]:
+    """Karcher mean and Frechet variance of ``dataset``, computed once for every fit on it.
+
+    Returns (None, None) when the mean cannot be computed, so that each fit
+    computes it again and reports the error itself.
+    """
+    try:
+        mean = frechet_mean(dataset)
+    except GrassdrError:
+        return None, None
+    return mean, variance(dataset, mean=mean)
+
+
 def explained_variance_ratio(
-    nmap: NestedMap, dataset: Sequence[GrassmannPoint], mean: GrassmannPoint | None = None
+    nmap: NestedMap,
+    dataset: Sequence[GrassmannPoint],
+    mean: GrassmannPoint | None = None,
+    dataset_variance: float | None = None,
 ) -> float:
     """Variance of the projected points over the variance of the originals.
 
-    ``mean`` is the Karcher mean of ``dataset``, if the caller has it.
+    A caller that has the Karcher mean of ``dataset`` passes it as ``mean``;
+    one that has the dataset's variance about that mean (``dataset_reference``)
+    passes it as ``dataset_variance``, and ``mean`` is then not used.
     """
     if len(dataset) < 2:
         raise ShapeError("need at least two points for a variance ratio")
-    var_orig = variance(dataset, mean=mean)
+    var_orig = variance(dataset, mean=mean) if dataset_variance is None else dataset_variance
     if var_orig <= 1e-24:
         raise UndefinedRatioError("original dataset has zero Frechet variance")
     var_proj = variance(project_dataset(nmap, dataset))
@@ -453,27 +471,28 @@ def fit_unsupervised(
     rng: np.random.Generator | None = None,
     restarts: int = 1,
     mean: GrassmannPoint | None = None,
+    dataset_variance: float | None = None,
 ) -> FitReport:
     """Fit the unsupervised nested model by minimizing reconstruction error.
 
     Optimizes over span(A) in Gr(m, n) and an unconstrained B-tilde; the
     returned map stores B = (I - A A^H) B-tilde. A is initialized from the
     m leading left singular vectors of the column-stacked data; additional
-    restarts (seeded by ``rng``) keep the best final loss. ``mean``, the
-    dataset's Karcher mean if the caller has it, goes to the explained
-    variance.
+    restarts (seeded by ``rng``) keep the best final loss. ``mean`` and
+    ``dataset_variance`` are as in ``explained_variance_ratio``.
     """
     _check_metric(metric)
     stacked = stack_points(dataset)
     _, p = _fit_dims(stacked, m)
-    mean = _mean_for(dataset, stacked, mean)
+    if dataset_variance is None:
+        dataset_variance = variance(dataset, mean=_mean_for(dataset, stacked, mean))
 
     def loss(a, b):
         return unsupervised_loss_and_grad(a, b, stacked, metric)
 
     best = _best_of_restarts(loss, stacked, m, p, config, rng, restarts)
     nmap = NestedMap.from_unprojected(best.point.A, best.point.B)
-    ratio = explained_variance_ratio(nmap, dataset, mean=mean)
+    ratio = explained_variance_ratio(nmap, dataset, dataset_variance=dataset_variance)
     return FitReport(nmap, best.loss_trace, ratio, best.iterations, best.converged)
 
 
@@ -488,12 +507,13 @@ def fit_supervised(
     rng: np.random.Generator | None = None,
     restarts: int = 1,
     mean: GrassmannPoint | None = None,
+    dataset_variance: float | None = None,
 ) -> FitReport:
     """Fit the supervised nested model (B fixed at zero).
 
     Builds the affinity from ambient projection distances, then minimizes the
-    affinity-weighted pairwise loss over span(A) in Gr(m, n). ``mean`` is as
-    in ``fit_unsupervised``.
+    affinity-weighted pairwise loss over span(A) in Gr(m, n). ``mean`` and
+    ``dataset_variance`` are as in ``explained_variance_ratio``.
     """
     _check_metric(metric)
     stacked = stack_points(dataset)
@@ -505,7 +525,8 @@ def fit_supervised(
         raise SupervisionDegenerateError(
             "supervised fit needs at least two classes; use fit_unsupervised instead"
         )
-    mean = _mean_for(dataset, stacked, mean)
+    if dataset_variance is None:
+        dataset_variance = variance(dataset, mean=_mean_for(dataset, stacked, mean))
     distances = pairwise_distances(stacked, metric="projection")
     affinity = build_affinity(labels, distances, k_w, k_b)
 
@@ -514,7 +535,7 @@ def fit_supervised(
 
     best = _best_of_restarts(loss, stacked, m, 0, config, rng, restarts)
     nmap = NestedMap(best.point.A, np.zeros((n, p), dtype=stacked.dtype))
-    ratio = explained_variance_ratio(nmap, dataset, mean=mean)
+    ratio = explained_variance_ratio(nmap, dataset, dataset_variance=dataset_variance)
     return FitReport(nmap, best.loss_trace, ratio, best.iterations, best.converged)
 
 
@@ -527,21 +548,18 @@ def nested_sequence(
 ) -> list[SequenceEntry]:
     """Fit one model per candidate dimension and report the variance ratios.
 
-    Fits are independent and share the dataset's Karcher mean; per-fit
-    failures are recorded in the entry and the scan continues. ``dims`` must
-    be strictly increasing.
+    Fits are independent and share the dataset's Karcher mean and variance;
+    per-fit failures are recorded in the entry and the scan continues.
+    ``dims`` must be strictly increasing.
     """
     dims = list(dims)
     if any(b <= a for a, b in zip(dims, dims[1:])):
         raise ShapeError("dims must be strictly increasing")
-    try:
-        mean = frechet_mean(dataset)
-    except GrassdrError:
-        mean = None  # each fit computes it again and records the error
+    _, var = dataset_reference(dataset)
     entries: list[SequenceEntry] = []
     for m in dims:
         try:
-            report = fit_unsupervised(dataset, m, metric=metric, config=config, rng=rng, mean=mean)
+            report = fit_unsupervised(dataset, m, metric=metric, config=config, rng=rng, dataset_variance=var)
             entries.append(SequenceEntry(m, report.explained_variance_ratio, report=report))
         except GrassdrError as exc:
             entries.append(SequenceEntry(m, float("nan"), error=str(exc)))

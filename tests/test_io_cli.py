@@ -3,12 +3,14 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import grassdr as g
+import grassdr.cli as cli_module
 from grassdr import io
 from grassdr.cli import main
 from grassdr.errors import FormatError
@@ -307,24 +309,41 @@ class TestCliSynth:
         assert all(line.split(",")[7] in ("ok", "no-convergence") for line in lines[1:])
 
     def test_table1_rep_computes_each_mean_once(self, tmp_path, monkeypatch):
-        # One dataset mean shared by PGA and the five fits, plus one mean per
-        # projected dataset: 6 Karcher means where each fit and PGA used to
-        # recompute the dataset's own (11).
-        calls = []
-        original = g.frechet_mean
+        # One dataset mean and variance shared by PGA and the five fits, plus
+        # one of each per projected dataset: 6 Karcher means and 6 variances
+        # where each fit and PGA used to recompute the dataset's own (11 and 10).
+        calls = {"frechet_mean": 0, "variance": 0}
 
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return original(*args, **kwargs)
+        def counting(func):
+            def counted(*args, **kwargs):
+                calls[func.__name__] += 1
+                return func(*args, **kwargs)
+            return counted
 
-        for name, module in list(sys.modules.items()):
-            if name == "grassdr" or name.startswith("grassdr."):
-                for attr, value in list(vars(module).items()):
-                    if value is original:
-                        monkeypatch.setattr(module, attr, counted)
+        for original in (g.frechet_mean, g.variance):
+            counted = counting(original)
+            for name, module in list(sys.modules.items()):
+                if name == "grassdr" or name.startswith("grassdr."):
+                    for attr, value in list(vars(module).items()):
+                        if value is original:
+                            monkeypatch.setattr(module, attr, counted)
         argv = ["synth", "--preset", "table1", "--reps", "1", "--max-iter", "5", "--no-timing"]
         assert main(argv + ["--out", str(tmp_path / "t.csv")]) == 0
-        assert len(calls) == 6
+        assert calls == {"frechet_mean": 6, "variance": 6}
+
+    def test_runtimes_include_the_shared_mean(self, tmp_path, monkeypatch):
+        # The shared mean and variance are computed before any row's clock
+        # starts; each row that uses them still reports their cost.
+        def slow_reference(points):
+            time.sleep(0.2)
+            return g.dataset_reference(points)
+
+        monkeypatch.setattr(cli_module, "dataset_reference", slow_reference)
+        out = tmp_path / "t.csv"
+        assert main(["synth", "--preset", "table1", "--reps", "1", "--max-iter", "2", "--out", str(out)]) == 0
+        runtimes = [float(line.split(",")[6]) for line in out.read_text().strip().splitlines()[1:]]
+        assert len(runtimes) == 10
+        assert min(runtimes) >= 0.2
 
     def test_preset_required_or_dims(self, tmp_path):
         assert main(["synth", "--out", str(tmp_path / "x.csv")]) == 2

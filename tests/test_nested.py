@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 import grassdr as g
+import grassdr.nested as nested_module
 from grassdr.errors import (
+    ConvergenceError,
     DegenerateProjectionError,
     ShapeError,
     SupervisionDegenerateError,
@@ -465,6 +467,32 @@ class TestVariance:
         without = g.fit_unsupervised(pts, 5, config=config)
         assert with_mean.explained_variance_ratio == without.explained_variance_ratio
         assert with_mean.loss_trace == without.loss_trace
+
+    def test_dataset_reference_gives_the_same_results(self):
+        data = g.generate(g.SynthConfig(N=20, n=8, m=4, p=2, sigma=0.2, seed=38))
+        pts = data.points
+        mu, var = g.dataset_reference(pts)
+        assert mu.same_subspace(g.frechet_mean(pts))
+        assert var == g.variance(pts)
+        ratio = g.explained_variance_ratio(data.map, pts)
+        assert g.explained_variance_ratio(data.map, pts, dataset_variance=var) == ratio
+        config = g.OptimizerConfig(max_iter=20)
+        given = g.fit_unsupervised(pts, 5, config=config, mean=mu, dataset_variance=var)
+        without = g.fit_unsupervised(pts, 5, config=config)
+        assert given.explained_variance_ratio == without.explained_variance_ratio
+        assert given.loss_trace == without.loss_trace
+        labels = [0, 1] * 10
+        given = g.fit_supervised(pts, labels, 5, config=config, mean=mu, dataset_variance=var)
+        without = g.fit_supervised(pts, labels, 5, config=config)
+        assert given.explained_variance_ratio == without.explained_variance_ratio
+
+    def test_dataset_reference_of_a_failing_mean(self, monkeypatch):
+        def fail(points):
+            raise ConvergenceError("no mean", result=points[0])
+
+        monkeypatch.setattr(nested_module, "frechet_mean", fail)
+        pts = random_dataset(np.random.default_rng(40), 6, 8, 2)
+        assert g.dataset_reference(pts) == (None, None)
 
     @pytest.mark.parametrize("n,p,field", [(7, 2, "real"), (8, 1, "real"), (8, 2, "complex")])
     def test_mismatched_mean_rejected(self, n, p, field):
