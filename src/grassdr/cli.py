@@ -367,13 +367,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     synth = subs.add_parser("synth", help="run the synthetic-data protocol and emit a tidy CSV")
     synth.add_argument("--preset", choices=tuple(PRESETS), default=None)
-    synth.add_argument("--num-points", type=int, default=50)
+    synth.add_argument("--num-points", type=_int_at_least(2), default=50)
     synth.add_argument("--ambient-dim", type=int, default=None)
     synth.add_argument("--planted-dim", type=int, default=None)
     synth.add_argument("--subspace-dim", type=int, default=1)
     synth.add_argument("--sigma", type=float, default=0.0)
     synth.add_argument("--fit-dim", type=int, default=None)
-    synth.add_argument("--reps", type=int, default=20)
+    synth.add_argument("--reps", type=_positive_int, default=20)
     synth.add_argument("--out", required=True)
     _add_common_fit_options(synth, allow_both_metrics=True)
     synth.set_defaults(func=cmd_synth)

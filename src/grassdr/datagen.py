@@ -15,10 +15,10 @@ import numpy as np
 from .errors import ShapeError
 from .geometry import (
     GrassmannPoint,
-    exp_map,
-    orthonormalize,
+    _exp_basis,
+    adjoint,
+    orthonormal_columns,
     sample_stiefel_uniform,
-    tangent_project,
 )
 from .nested import NestedMap
 from .shape import KAds
@@ -62,26 +62,34 @@ def generate(config: SynthConfig) -> SyntheticData:
     Draws A uniformly on St(m, n), B-tilde with i.i.d. N(0, b_std) entries,
     and Z_i uniformly on St(p, m); plants X-tilde_i = span(A Z_i + (I - A A^H) B)
     and emits X_i = Exp(X-tilde_i, sigma U_i) with U_i a unit-Frobenius-norm
-    random horizontal tangent.
+    random horizontal tangent. Any finite sigma works; past pi/2 the geodesic
+    wraps around.
+
+    After A and B-tilde, one (N, m p + n p) Gaussian block holds row i =
+    [Z_i draw, U_i draw] (only the Z_i part when sigma = 0), which is the
+    order of drawing point by point, and the whole dataset is built as an
+    (N, n, p) stack with no per-point loop. A rank-deficient Z_i draw
+    (probability zero) raises DegenerateInputError instead of being redrawn.
     """
+    n, m, p, sigma = config.n, config.m, config.p, config.sigma
     rng = np.random.default_rng(config.seed)
-    a = sample_stiefel_uniform(config.n, config.m, rng=rng).basis
-    b_tilde = rng.normal(0.0, config.b_std, size=(config.n, config.p))
+    a = sample_stiefel_uniform(n, m, rng=rng).basis
+    b_tilde = rng.normal(0.0, config.b_std, size=(n, p))
     nmap = NestedMap.from_unprojected(a, b_tilde)
 
-    points: list[GrassmannPoint] = []
-    planted: list[GrassmannPoint] = []
-    for _ in range(config.N):
-        z = sample_stiefel_uniform(config.m, config.p, rng=rng)
-        planted.append(z)
-        base = orthonormalize(a @ z.basis + nmap.B)
-        if config.sigma == 0.0:
-            points.append(base)
-            continue
-        direction = tangent_project(base, rng.standard_normal((config.n, config.p)))
-        unit = direction.mat / np.linalg.norm(direction.mat)
-        points.append(exp_map(base, tangent_project(base, config.sigma * unit)))
-    return SyntheticData(points, nmap, planted)
+    draws = rng.standard_normal((config.N, m * p + (n * p if sigma > 0.0 else 0)))
+    z = orthonormal_columns(draws[:, : m * p].reshape(-1, m, p))
+    base = orthonormal_columns(a @ z + nmap.B)
+    points = base
+    if sigma > 0.0:
+        g = draws[:, m * p :].reshape(-1, n, p)
+        direction = g - base @ (adjoint(base) @ g)
+        # The norm as a dot product and the second projection repeat the
+        # point-by-point arithmetic, so each seed keeps its data bit for bit.
+        flat = direction.reshape(-1, 1, n * p)
+        h = sigma * (direction / np.sqrt(flat @ adjoint(flat)))
+        points = _exp_basis(base, h - base @ (adjoint(base) @ h))
+    return SyntheticData(list(map(GrassmannPoint, points)), nmap, list(map(GrassmannPoint, z)))
 
 
 def two_class_shapes(

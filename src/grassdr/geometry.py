@@ -52,10 +52,11 @@ def adjoint(m: np.ndarray) -> np.ndarray:
     return np.asarray(m).swapaxes(-1, -2).conj()
 
 
-def _as_matrix(m, name: str = "matrix") -> np.ndarray:
+def _as_matrix(m, name: str = "matrix", stack: bool = False) -> np.ndarray:
+    """``m`` as a float64/complex128 matrix, or with ``stack`` also an (..., n, p) stack of them."""
     a = np.asarray(m)
-    if a.ndim != 2:
-        raise ShapeError(f"{name} must be 2-dimensional, got shape {a.shape}")
+    if a.ndim != 2 and not (stack and a.ndim > 2):
+        raise ShapeError(f"{name} must be 2-dimensional{' or a stack' if stack else ''}, got shape {a.shape}")
     dtype = COMPLEX_DTYPE if np.iscomplexobj(a) else REAL_DTYPE
     return a.astype(dtype, copy=False)
 
@@ -134,18 +135,26 @@ class TangentVector:
 def orthonormal_columns(m, rank_rtol: float = RANK_RTOL) -> np.ndarray:
     """Orthonormal basis of span(m) via thin QR, with a canonical representative.
 
-    The R factor is normalized to have nonnegative real diagonal, so the result
-    is a deterministic function of the input. Raises DegenerateInputError when
-    the smallest singular value is below ``rank_rtol`` times the largest.
+    ``m`` is an n x p matrix or an (..., n, p) stack, each matrix handled on
+    its own. The R factor is normalized to have nonnegative real diagonal, so
+    the result is a deterministic function of the input. Raises
+    DegenerateInputError when a matrix's smallest singular value is below
+    ``rank_rtol`` times its largest; for a stack the message names the first
+    such index.
     """
-    a = _as_matrix(m)
-    n, p = a.shape
+    a = _as_matrix(m, stack=True)
+    n, p = a.shape[-2:]
     if not 1 <= p <= n:
         raise ShapeError(f"need 1 <= p <= n, got shape {(n, p)}")
     s = np.linalg.svd(a, compute_uv=False)
-    if s[0] == 0.0 or s[-1] < rank_rtol * s[0]:
+    lo, hi = s[..., -1], s[..., 0]
+    bad = (hi == 0.0) | (lo < rank_rtol * hi)
+    if bad.any():
+        i = np.flatnonzero(bad)[0]
+        index = np.unravel_index(i, a.shape[:-2])
+        what = f"matrix {', '.join(map(str, index))} of the stack" if index else "matrix"
         raise DegenerateInputError(
-            f"matrix is numerically rank deficient (singular values {s[-1]:.3e} vs {s[0]:.3e})"
+            f"{what} is numerically rank deficient (singular values {lo.flat[i]:.3e} vs {hi.flat[i]:.3e})"
         )
     return _canonical_qr(a)
 
@@ -213,8 +222,12 @@ def exp_map(x: GrassmannPoint, h: TangentVector, atol: float = EXP_TANGENT_ATOL)
 
 
 def _exp_basis(base: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """Canonical basis of exp_base(h) for a nonzero horizontal h; a geodesic keeps full rank."""
+    """Canonical basis of exp_base(h) for a nonzero horizontal h; a geodesic keeps full rank.
+
+    ``base`` and ``h`` may be matching (N, n, p) stacks, one exp per matrix.
+    """
     u, s, vh = np.linalg.svd(h, full_matrices=False)
+    s = s[..., None, :]
     return _canonical_qr((base @ adjoint(vh)) * np.cos(s) + u * np.sin(s))
 
 
@@ -312,9 +325,15 @@ def _columns(stack: np.ndarray) -> np.ndarray:
 
 
 def _leading_left_singular_vectors(stacked: np.ndarray, k: int) -> np.ndarray:
-    """The k leading left singular vectors of [X_1 ... X_N]; thin unless Np < k."""
+    """The k leading left singular vectors of [X_1 ... X_N], from a thin SVD.
+
+    When Np < k the columns are padded with zeros up to k, so the last k - Np
+    vectors complete the basis orthonormally without forming the n x n factor.
+    """
     flat = _columns(stacked)
-    u, _, _ = np.linalg.svd(flat, full_matrices=flat.shape[1] < k)
+    if flat.shape[1] < k:
+        flat = np.pad(flat, ((0, 0), (0, k - flat.shape[1])))
+    u, _, _ = np.linalg.svd(flat, full_matrices=False)
     return u[:, :k].copy()
 
 

@@ -3,7 +3,28 @@ import pytest
 
 import grassdr as g
 from grassdr.errors import ShapeError
+from grassdr.nested import NestedMap
 from grassdr.shape import KAds
+
+
+def _generate_loop(config):
+    """Reference planted-subspace generator: one point at a time, every draw in order."""
+    rng = np.random.default_rng(config.seed)
+    a = g.sample_stiefel_uniform(config.n, config.m, rng=rng).basis
+    b_tilde = rng.normal(0.0, config.b_std, size=(config.n, config.p))
+    nmap = NestedMap.from_unprojected(a, b_tilde)
+    points, planted = [], []
+    for _ in range(config.N):
+        z = g.sample_stiefel_uniform(config.m, config.p, rng=rng)
+        planted.append(z)
+        base = g.orthonormalize(a @ z.basis + nmap.B)
+        if config.sigma == 0.0:
+            points.append(base)
+            continue
+        direction = g.tangent_project(base, rng.standard_normal((config.n, config.p)))
+        unit = direction.mat / np.linalg.norm(direction.mat)
+        points.append(g.exp_map(base, g.tangent_project(base, config.sigma * unit)))
+    return points, nmap, planted
 
 
 class TestSynthConfig:
@@ -24,6 +45,20 @@ class TestSynthConfig:
 
 
 class TestGenerate:
+    @pytest.mark.parametrize("seed", (0, 17))
+    @pytest.mark.parametrize("b_std", (0.1, 0.0))
+    @pytest.mark.parametrize("sigma", (0.0, 0.1, 4.0))
+    @pytest.mark.parametrize("n,m,p", [(10, 3, 1), (30, 20, 2)])
+    def test_matches_reference_loop(self, n, m, p, sigma, b_std, seed):
+        config = g.SynthConfig(N=20, n=n, m=m, p=p, sigma=sigma, b_std=b_std, seed=seed)
+        data = g.generate(config)
+        points, nmap, planted = _generate_loop(config)
+        assert np.abs(data.map.A - nmap.A).max() < 1e-12
+        assert np.abs(data.map.B - nmap.B).max() < 1e-12
+        for got, want in zip(data.points + data.planted, points + planted, strict=True):
+            assert isinstance(got, g.GrassmannPoint)
+            assert np.abs(got.basis - want.basis).max() < 1e-12
+
     def test_sigma_zero_on_submanifold(self):
         data = g.generate(g.SynthConfig(N=25, n=10, m=3, p=1, sigma=0.0, seed=0))
         for pt in data.points:

@@ -9,7 +9,7 @@ from grassdr.errors import (
     InvalidTangentError,
     ShapeError,
 )
-from grassdr.geometry import _batched_log_mats, adjoint
+from grassdr.geometry import _batched_log_mats, _leading_left_singular_vectors, adjoint
 
 FIELDS = ("real", "complex")
 
@@ -79,6 +79,23 @@ class TestOrthonormalize:
         rng = np.random.default_rng(4)
         m = rng.standard_normal((7, 3))
         assert np.array_equal(g.orthonormalize(m).basis, g.orthonormalize(m).basis)
+
+    @pytest.mark.parametrize("field", FIELDS)
+    def test_stack_matches_each_matrix(self, field):
+        rng = np.random.default_rng(5)
+        m = rng.standard_normal((4, 3, 6, 2))
+        if field == "complex":
+            m = m + 1j * rng.standard_normal(m.shape)
+        got = g.orthonormal_columns(m)
+        assert got.shape == m.shape
+        for idx in np.ndindex(m.shape[:2]):
+            assert np.array_equal(got[idx], g.orthonormal_columns(m[idx]))
+
+    def test_stack_error_names_the_rank_deficient_index(self):
+        m = np.random.default_rng(6).standard_normal((5, 4, 2))
+        m[3, :, 1] = 2.0 * m[3, :, 0]
+        with pytest.raises(DegenerateInputError, match="matrix 3 of the stack"):
+            g.orthonormal_columns(m)
 
     @pytest.mark.parametrize("bad", (np.nan, np.inf))
     def test_non_finite_basis_rejected(self, bad):
@@ -363,6 +380,18 @@ class TestFrechetMean:
     def test_empty_rejected(self):
         with pytest.raises(ShapeError):
             g.frechet_mean([])
+
+
+class TestLeadingLeftSingularVectors:
+    def test_fewer_columns_than_k_pads_without_the_full_factor(self):
+        # Np = 2 < k = 3 at n = 200000; a full n x n factor would need 320 GB.
+        rng = np.random.default_rng(27)
+        stacked = rng.standard_normal((2, 200000, 1))
+        u = _leading_left_singular_vectors(stacked, 3)
+        assert u.shape == (200000, 3)
+        assert np.abs(adjoint(u) @ u - np.eye(3)).max() < 1e-12
+        data = g.orthonormalize(stacked[:, :, 0].T)
+        assert g.GrassmannPoint(u[:, :2]).same_subspace(data)
 
 
 class TestPointTypes:

@@ -9,8 +9,9 @@ moves these numbers on purpose regenerates the files with
 and lists the old and new values in CHANGES.md. Run that way, the module
 pins OpenBLAS to one thread before numpy loads, so that regenerated files
 come from one fixed floating-point order whatever the machine's default.
-``test_shapes_output_does_not_depend_on_the_thread_count`` runs the
-supervised shapes pipeline at one and two OpenBLAS threads and compares.
+The ``..._does_not_depend_on_the_thread_count`` tests run the supervised
+shapes pipeline and the fig3 and table1 presets at one and two OpenBLAS
+threads and compare.
 """
 
 from __future__ import annotations
@@ -129,22 +130,32 @@ def test_output_matches_golden(workdir, name, argv):
         _compare_report(got, GOLDEN / name)
 
 
-def test_shapes_output_does_not_depend_on_the_thread_count(workdir):
-    name, argv = RUNS[4]
-    assert name == "shapes3_supervised.csv"
+def _outputs_at_one_and_two_threads(workdir: Path, name: str, argv: list[str]) -> list[Path]:
+    """Run one golden command in subprocesses at OPENBLAS_NUM_THREADS=1 and 2; the two output paths."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     outputs = []
     for threads in ("1", "2"):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-        out = f"threads{threads}.csv"
+        out = f"threads{threads}-{name}"
         proc = subprocess.run(
             [sys.executable, "-m", "grassdr", *argv, "--out", out],
             cwd=workdir, env=env, capture_output=True, text=True, timeout=300,
         )
         assert proc.returncode == 0, proc.stderr
         outputs.append(workdir / out)
-    _compare_csv(*outputs)
+    return outputs
+
+
+def test_shapes_output_does_not_depend_on_the_thread_count(workdir):
+    name, argv = RUNS[4]
+    assert name == "shapes3_supervised.csv"
+    _compare_csv(*_outputs_at_one_and_two_threads(workdir, name, argv))
+
+
+@pytest.mark.parametrize("name", ("fig3.csv", "table1.csv"))
+def test_synth_output_does_not_depend_on_the_thread_count(workdir, name):
+    _compare_csv(*_outputs_at_one_and_two_threads(workdir, name, dict(RUNS)[name]))
 
 
 def regenerate(workdir: Path) -> None:

@@ -1,4 +1,5 @@
 import copy
+import csv
 import json
 import os
 import subprocess
@@ -362,6 +363,26 @@ class TestCliSynth:
         assert "sigma must be finite" in capsys.readouterr().err
         assert not out.exists()
 
+
+    @pytest.mark.parametrize("flag,value", (("--reps", "0"), ("--reps", "-2"), ("--num-points", "0"), ("--num-points", "1")))
+    def test_bad_count_is_usage_error(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "x.csv"
+        argv = ["synth", "--ambient-dim", "5", "--planted-dim", "2", "--reps", "1", "--out", str(out)]
+        with pytest.raises(SystemExit) as exc:
+            main(argv + [flag, value])
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("sigma", ("1e7", "1e300"))
+    def test_any_finite_sigma_runs(self, tmp_path, sigma):
+        out = tmp_path / "x.csv"
+        argv = ["synth", "--ambient-dim", "5", "--planted-dim", "3", "--sigma", sigma, "--reps", "2", "--max-iter", "20"]
+        assert main(argv + ["--no-timing", "--out", str(out)]) == 0
+        rows = list(csv.DictReader(out.open(newline="")))
+        assert len(rows) == 4
+        for row in rows:
+            assert row["status"].startswith("error: ") or np.isfinite(float(row["explained_variance"])), row
 
 class TestCliOptimizerOptions:
     def _fit_argvs(self, tmp_path):
