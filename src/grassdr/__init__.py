@@ -35,15 +35,12 @@ from .geometry import (
 from .nested import (
     FitReport,
     NestedMap,
-    SequenceEntry,
     build_affinity,
     dataset_reference,
     embed_point,
     explained_variance_ratio,
     fit_supervised,
     fit_unsupervised,
-    loss_supervised,
-    loss_unsupervised,
     nested_sequence,
     project_dataset,
     project_point,

@@ -23,6 +23,9 @@ from .geometry import (
 from .nested import NestedMap
 from .shape import KAds
 
+# Random radial harmonics of shared nuisance variation in ``two_class_shapes``.
+NUISANCE_MODES = 30
+
 
 @dataclass
 class SynthConfig:
@@ -99,12 +102,11 @@ def two_class_shapes(
     rng: np.random.Generator,
     deform: float = 0.25,
     nuisance: float = 0.12,
-    n_modes: int = 30,
     noise: float = 0.003,
 ) -> tuple[list[KAds], np.ndarray]:
     """Labeled two-class boundary shapes with a planted class deformation.
 
-    Every shape is a unit circle boundary perturbed by ``n_modes`` random
+    Every shape is a unit circle boundary perturbed by ``NUISANCE_MODES`` random
     radial harmonics of amplitude ``nuisance`` (shared nuisance variation
     that dominates raw nearest-neighbor distances); class 1 additionally
     carries a fixed fourth-harmonic bump of magnitude ``deform``. Each shape
@@ -116,7 +118,7 @@ def two_class_shapes(
     if k <= 2:
         raise ShapeError("need k > 2 landmarks")
     theta = 2.0 * np.pi * np.arange(k) / k
-    harmonics = [h for h in range(2, n_modes + 4) if h != 4][:n_modes]
+    harmonics = [h for h in range(2, NUISANCE_MODES + 4) if h != 4][:NUISANCE_MODES]
     labels = np.arange(n_shapes) % 2
     # Every random draw, in the per-shape order that fixes the output for a seed.
     amplitude = np.empty((len(harmonics), n_shapes))

@@ -10,15 +10,15 @@ class ShapeError(GrassdrError, ValueError):
 
 
 class DegenerateInputError(GrassdrError, ValueError):
-    """Input matrix is (numerically) rank deficient."""
-
-
-class DegenerateProjectionError(DegenerateInputError):
-    """A data subspace is nearly orthogonal to the projection range."""
+    """Input matrix is (numerically) rank deficient; ``index`` names it within a stack or dataset."""
 
     def __init__(self, message: str, index: int | None = None):
         super().__init__(message)
         self.index = index
+
+
+class DegenerateProjectionError(DegenerateInputError):
+    """A data subspace is nearly orthogonal to the projection range."""
 
 
 class DegenerateShapeError(DegenerateInputError):

@@ -21,8 +21,8 @@ from .errors import (
     ShapeError,
 )
 
-# Library tolerances. Every operation that uses one accepts a keyword override.
-ORTHONORMAL_ATOL = 1e-12
+# Library tolerances.
+ORTHONORMAL_ATOL = 1e-10
 TANGENT_ATOL = 1e-10
 EXP_TANGENT_ATOL = 1e-8
 EQUAL_ANGLE_TOL = 1e-9
@@ -73,7 +73,7 @@ class GrassmannPoint:
         if not 1 <= p <= n:
             raise ShapeError(f"need 1 <= p <= n, got basis shape {(n, p)}")
         gram = adjoint(b) @ b
-        if not np.abs(gram - np.eye(p)).max() <= 1e-10:  # NaN and inf fail too
+        if not np.abs(gram - np.eye(p)).max() <= ORTHONORMAL_ATOL:  # NaN and inf fail too
             raise DegenerateInputError(
                 "basis columns are not orthonormal; use orthonormalize() first"
             )
@@ -92,17 +92,17 @@ class GrassmannPoint:
     def field(self) -> str:
         return "complex" if np.iscomplexobj(self.basis) else "real"
 
-    def same_subspace(self, other: "GrassmannPoint", angle_tol: float = EQUAL_ANGLE_TOL) -> bool:
+    def same_subspace(self, other: "GrassmannPoint") -> bool:
         """Whether both points denote the same subspace.
 
-        True iff every principal angle between the spans is below ``angle_tol``,
+        True iff every principal angle between the spans is below ``EQUAL_ANGLE_TOL``,
         measured through the sines (exact near zero); invariant under
         right-unitary change of either basis.
         """
         _check_pair(self, other)
         residual = other.basis - self.basis @ (adjoint(self.basis) @ other.basis)
         sines = np.linalg.svd(residual, compute_uv=False)
-        return bool(sines.max() < angle_tol)
+        return bool(sines.max() < EQUAL_ANGLE_TOL)
 
     def __repr__(self) -> str:
         return f"GrassmannPoint(n={self.n}, p={self.p}, field={self.field!r})"
@@ -132,15 +132,15 @@ class TangentVector:
         return float(np.linalg.norm(self.mat))
 
 
-def orthonormal_columns(m, rank_rtol: float = RANK_RTOL) -> np.ndarray:
+def orthonormal_columns(m) -> np.ndarray:
     """Orthonormal basis of span(m) via thin QR, with a canonical representative.
 
     ``m`` is an n x p matrix or an (..., n, p) stack, each matrix handled on
     its own. The R factor is normalized to have nonnegative real diagonal, so
     the result is a deterministic function of the input. Raises
     DegenerateInputError when a matrix's smallest singular value is below
-    ``rank_rtol`` times its largest; for a stack the message names the first
-    such index.
+    ``RANK_RTOL`` times its largest; for a stack the error's ``index`` is the
+    flat position of the first such matrix, and the message names it.
     """
     a = _as_matrix(m, stack=True)
     n, p = a.shape[-2:]
@@ -148,13 +148,14 @@ def orthonormal_columns(m, rank_rtol: float = RANK_RTOL) -> np.ndarray:
         raise ShapeError(f"need 1 <= p <= n, got shape {(n, p)}")
     s = np.linalg.svd(a, compute_uv=False)
     lo, hi = s[..., -1], s[..., 0]
-    bad = (hi == 0.0) | (lo < rank_rtol * hi)
+    bad = (hi == 0.0) | (lo < RANK_RTOL * hi)
     if bad.any():
         i = np.flatnonzero(bad)[0]
         index = np.unravel_index(i, a.shape[:-2])
         what = f"matrix {', '.join(map(str, index))} of the stack" if index else "matrix"
         raise DegenerateInputError(
-            f"{what} is numerically rank deficient (singular values {lo.flat[i]:.3e} vs {hi.flat[i]:.3e})"
+            f"{what} is numerically rank deficient (singular values {lo.flat[i]:.3e} vs {hi.flat[i]:.3e})",
+            index=int(i) if a.ndim > 2 else None,
         )
     return _canonical_qr(a)
 
@@ -167,9 +168,9 @@ def _canonical_qr(a: np.ndarray) -> np.ndarray:
     return q * np.conj(d / np.abs(d))[..., None, :]
 
 
-def orthonormalize(m, rank_rtol: float = RANK_RTOL) -> GrassmannPoint:
+def orthonormalize(m) -> GrassmannPoint:
     """GrassmannPoint spanning the columns of ``m`` (must have full column rank)."""
-    return GrassmannPoint(orthonormal_columns(m, rank_rtol=rank_rtol))
+    return GrassmannPoint(orthonormal_columns(m))
 
 
 def _check_pair(x: GrassmannPoint, y: GrassmannPoint) -> None:
@@ -209,12 +210,12 @@ def tangent_project(x: GrassmannPoint, m) -> TangentVector:
     return TangentVector(x, h)
 
 
-def exp_map(x: GrassmannPoint, h: TangentVector, atol: float = EXP_TANGENT_ATOL) -> GrassmannPoint:
+def exp_map(x: GrassmannPoint, h: TangentVector) -> GrassmannPoint:
     """Geodesic exponential: span(X V cos(S) + U sin(S)) for the compact SVD H = U S V^H."""
     hm = _as_matrix(h.mat, "tangent")
     if hm.shape != x.basis.shape:
         raise ShapeError(f"tangent shape {hm.shape} does not match point {x!r}")
-    if np.abs(adjoint(x.basis) @ hm).max() > atol:
+    if np.abs(adjoint(x.basis) @ hm).max() > EXP_TANGENT_ATOL:
         raise InvalidTangentError("tangent matrix is not horizontal at x")
     if not np.any(hm):
         return x
@@ -231,17 +232,17 @@ def _exp_basis(base: np.ndarray, h: np.ndarray) -> np.ndarray:
     return _canonical_qr((base @ adjoint(vh)) * np.cos(s) + u * np.sin(s))
 
 
-def log_map(x: GrassmannPoint, y: GrassmannPoint, cut_margin: float = CUT_LOCUS_MARGIN) -> TangentVector:
+def log_map(x: GrassmannPoint, y: GrassmannPoint) -> TangentVector:
     """Inverse of exp_map at ``x``: the tangent H with exp_map(x, H) = y.
 
     Raises CutLocusError when the largest principal angle is within
-    ``cut_margin`` of pi/2, where the minimizing geodesic stops being unique
-    (the smallest singular value of X^H Y is at most sin(cut_margin)).
+    ``CUT_LOCUS_MARGIN`` of pi/2, where the minimizing geodesic stops being
+    unique (the smallest singular value of X^H Y is at most sin(CUT_LOCUS_MARGIN)).
     """
     _check_pair(x, y)
     smin = np.linalg.svd(adjoint(x.basis) @ y.basis, compute_uv=False)[-1]
-    if smin <= np.sin(cut_margin):
-        raise CutLocusError(f"largest principal angle within {cut_margin:.1e} of pi/2")
+    if smin <= np.sin(CUT_LOCUS_MARGIN):
+        raise CutLocusError(f"largest principal angle within {CUT_LOCUS_MARGIN:.1e} of pi/2")
     return TangentVector(x, _batched_log_mats(x.basis, y.basis[None])[0])
 
 

@@ -108,9 +108,6 @@ def load_dataset(path) -> tuple[list[GrassmannPoint], np.ndarray | None]:
     field = doc["field"]
     if not 1 <= doc["p"] <= doc["n"]:
         raise FormatError(f"need 1 <= p <= n, got p = {doc['p']}, n = {doc['n']}", where)
-    labels = doc.get("labels")
-    if labels is not None and not isinstance(labels, list):
-        raise FormatError("'labels' must be a list or null", where)
     if len(doc["points"]) != doc["N"]:
         raise FormatError(f"N = {doc['N']} but {len(doc['points'])} points stored", where)
     points = []
@@ -119,11 +116,21 @@ def load_dataset(path) -> tuple[list[GrassmannPoint], np.ndarray | None]:
         if mat.shape != (doc["n"], doc["p"]):
             raise FormatError(f"point {i} has shape {mat.shape}, expected {(doc['n'], doc['p'])}", where)
         points.append(_restore_basis(mat, f"{where}: point {i}"))
-    if labels is not None:
-        if len(labels) != doc["N"]:
-            raise FormatError("labels length differs from N", where)
-        labels = np.asarray(labels)
-    return points, labels
+    return points, _labels(doc, doc["N"], where)
+
+
+def _labels(doc: dict, count: int, where: str) -> np.ndarray | None:
+    """The document's ``labels``: null, or a list of ``count`` strings or numbers (as ``_jsonable_label`` writes)."""
+    labels = doc.get("labels")
+    if labels is None:
+        return None
+    if not isinstance(labels, list):
+        raise FormatError("'labels' must be a list or null", where)
+    if len(labels) != count:
+        raise FormatError(f"{len(labels)} labels for {count} records", where)
+    if not all(isinstance(v, (str, int, float)) and not isinstance(v, bool) for v in labels):
+        raise FormatError("every label must be a string or a number", where)
+    return np.asarray(labels)
 
 
 def save_model(path, nmap: NestedMap, metadata: dict | None = None) -> None:
@@ -184,20 +191,16 @@ def _landmarks_from_json(path, text: str) -> tuple[list[KAds], np.ndarray | None
     except json.JSONDecodeError as exc:
         raise FormatError(f"invalid JSON: {exc}", where) from exc
     if isinstance(doc, list):
-        doc = {"shapes": doc, "labels": None}
-    if "shapes" not in doc:
-        raise FormatError("missing key 'shapes'", where)
+        doc = {"shapes": doc}
+    if not isinstance(doc.get("shapes"), list) or not doc["shapes"]:
+        raise FormatError("'shapes' must be a non-empty list", where)
     shapes = []
     for i, rec in enumerate(doc["shapes"]):
-        arr = np.asarray(rec, dtype=float)
-        if arr.ndim != 2 or arr.shape[1] != 2:
+        arr = _decode_matrix(rec, "real", f"{where}: shape {i}")
+        if arr.shape[1] != 2:
             raise FormatError(f"shape {i} must be a k x 2 array", where)
         shapes.append(_make_kads(arr, f"{where}: shape {i}"))
-    labels = doc.get("labels")
-    if labels is not None:
-        if len(labels) != len(shapes):
-            raise FormatError("labels length differs from shape count", where)
-        labels = np.asarray(labels)
+    labels = _labels(doc, len(shapes), where)
     _check_constant_k(shapes, where)
     return shapes, labels
 
@@ -244,9 +247,11 @@ def _check_constant_k(shapes: Sequence[KAds], where: str) -> None:
 
 
 def format_number(value) -> str:
-    """Shortest decimal that round-trips the float exactly."""
+    """An integer as written; any other number as the shortest decimal that round-trips the float."""
     if value is None or value == "":
         return ""
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        return str(int(value))
     return repr(float(value))
 
 

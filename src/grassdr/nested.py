@@ -34,6 +34,7 @@ from .errors import (
     UndefinedRatioError,
 )
 from .geometry import (
+    ORTHONORMAL_ATOL,
     GrassmannPoint,
     _angles_from_cosines,
     _canonical_qr,
@@ -42,6 +43,7 @@ from .geometry import (
     _mean_for,
     adjoint,
     frechet_mean,
+    orthonormal_columns,
     orthonormalize,
     pairwise_distances,
     sample_stiefel_uniform,
@@ -74,7 +76,7 @@ class NestedMap:
         if a.ndim != 2 or b.ndim != 2 or b.shape[0] != a.shape[0]:
             raise ShapeError(f"incompatible shapes A {a.shape}, B {b.shape}")
         # Written as "not <=" so that NaN and inf fail the checks.
-        if not np.abs(adjoint(a) @ a - np.eye(a.shape[1])).max() <= 1e-10:
+        if not np.abs(adjoint(a) @ a - np.eye(a.shape[1])).max() <= ORTHONORMAL_ATOL:
             raise ShapeError("A must have orthonormal columns")
         if b.shape[1] and not np.abs(adjoint(a) @ b).max() <= 1e-8:
             raise ShapeError("B must lie in the nullspace of A^H; use from_unprojected()")
@@ -120,16 +122,6 @@ class FitReport:
     converged: bool
 
 
-@dataclass
-class SequenceEntry:
-    """One fitted dimension of a nested sequence scan."""
-
-    m: int
-    ratio: float
-    report: FitReport | None = None
-    error: str | None = None
-
-
 def embed_point(nmap: NestedMap, x: GrassmannPoint) -> GrassmannPoint:
     """Map a point of Gr(p, m) to Gr(p, n): span(A X + B)."""
     if x.n != nmap.m or x.p != nmap.p or x.field != nmap.field:
@@ -162,14 +154,12 @@ def project_dataset(nmap: NestedMap, points: Sequence[GrassmannPoint]) -> list[G
     stacked = stack_points(points)
     if stacked.shape[1] != nmap.n or stacked.shape[2] != nmap.p:
         raise ShapeError("dataset dims do not match the map")
-    y = adjoint(nmap.A) @ stacked
-    s = np.linalg.svd(y, compute_uv=False)
-    bad = np.nonzero(s[:, -1] < 1e-12 * np.maximum(s[:, 0], np.finfo(float).tiny))[0]
-    if bad.size:
+    try:
+        q = orthonormal_columns(adjoint(nmap.A) @ stacked)
+    except DegenerateInputError as exc:
         raise DegenerateProjectionError(
-            f"data point {bad[0]}: subspace nearly orthogonal to span(A)", index=int(bad[0])
-        )
-    q = _canonical_qr(y)
+            f"data point {exc.index}: subspace nearly orthogonal to span(A)", index=exc.index
+        ) from exc
     return [GrassmannPoint(q[i]) for i in range(q.shape[0])]
 
 
@@ -264,18 +254,6 @@ def unsupervised_loss_and_grad(
     return loss, (g_a, g_b)
 
 
-def loss_unsupervised(
-    nmap: NestedMap,
-    dataset: Sequence[GrassmannPoint],
-    metric: str = "projection",
-) -> tuple[float, tuple[np.ndarray, np.ndarray]]:
-    """Reconstruction loss of a fitted map on a dataset, with gradients."""
-    stacked = stack_points(dataset)
-    if stacked.shape[1] != nmap.n or stacked.shape[2] != nmap.p:
-        raise ShapeError("dataset dims do not match the map")
-    return unsupervised_loss_and_grad(nmap.A, nmap.B, stacked, metric)
-
-
 def build_affinity(labels, distances: np.ndarray, k_w: int = 5, k_b: int = 5) -> np.ndarray:
     """Symmetric {-1, 0, +1} affinity from labels and a distance matrix.
 
@@ -354,18 +332,6 @@ def supervised_loss_and_grad(
     return value, (g_a, np.zeros((a.shape[0], 0), dtype=a.dtype))
 
 
-def loss_supervised(
-    a: np.ndarray,
-    dataset: Sequence[GrassmannPoint],
-    affinity: np.ndarray,
-    metric: str = "projection",
-) -> tuple[float, np.ndarray]:
-    """Supervised loss of a Stiefel representative A on a dataset."""
-    stacked = stack_points(dataset)
-    value, (g_a, _) = supervised_loss_and_grad(np.asarray(a), stacked, np.asarray(affinity), metric)
-    return value, g_a
-
-
 # ---------------------------------------------------------------------------
 # Variance and fitting
 # ---------------------------------------------------------------------------
@@ -400,18 +366,16 @@ def dataset_reference(dataset: Sequence[GrassmannPoint]) -> tuple[GrassmannPoint
 def explained_variance_ratio(
     nmap: NestedMap,
     dataset: Sequence[GrassmannPoint],
-    mean: GrassmannPoint | None = None,
     dataset_variance: float | None = None,
 ) -> float:
     """Variance of the projected points over the variance of the originals.
 
-    A caller that has the Karcher mean of ``dataset`` passes it as ``mean``;
-    one that has the dataset's variance about that mean (``dataset_reference``)
-    passes it as ``dataset_variance``, and ``mean`` is then not used.
+    A caller that already has the dataset's variance (``dataset_reference``)
+    passes it as ``dataset_variance``; otherwise it is computed here.
     """
     if len(dataset) < 2:
         raise ShapeError("need at least two points for a variance ratio")
-    var_orig = variance(dataset, mean=mean) if dataset_variance is None else dataset_variance
+    var_orig = variance(dataset) if dataset_variance is None else dataset_variance
     if var_orig <= 1e-24:
         raise UndefinedRatioError("original dataset has zero Frechet variance")
     var_proj = variance(project_dataset(nmap, dataset))
@@ -470,7 +434,6 @@ def fit_unsupervised(
     config: OptimizerConfig | None = None,
     rng: np.random.Generator | None = None,
     restarts: int = 1,
-    mean: GrassmannPoint | None = None,
     dataset_variance: float | None = None,
 ) -> FitReport:
     """Fit the unsupervised nested model by minimizing reconstruction error.
@@ -478,14 +441,14 @@ def fit_unsupervised(
     Optimizes over span(A) in Gr(m, n) and an unconstrained B-tilde; the
     returned map stores B = (I - A A^H) B-tilde. A is initialized from the
     m leading left singular vectors of the column-stacked data; additional
-    restarts (seeded by ``rng``) keep the best final loss. ``mean`` and
-    ``dataset_variance`` are as in ``explained_variance_ratio``.
+    restarts (seeded by ``rng``) keep the best final loss.
+    ``dataset_variance`` is as in ``explained_variance_ratio``.
     """
     _check_metric(metric)
     stacked = stack_points(dataset)
     _, p = _fit_dims(stacked, m)
     if dataset_variance is None:
-        dataset_variance = variance(dataset, mean=_mean_for(dataset, stacked, mean))
+        dataset_variance = variance(dataset)
 
     def loss(a, b):
         return unsupervised_loss_and_grad(a, b, stacked, metric)
@@ -506,14 +469,13 @@ def fit_supervised(
     config: OptimizerConfig | None = None,
     rng: np.random.Generator | None = None,
     restarts: int = 1,
-    mean: GrassmannPoint | None = None,
     dataset_variance: float | None = None,
 ) -> FitReport:
     """Fit the supervised nested model (B fixed at zero).
 
     Builds the affinity from ambient projection distances, then minimizes the
-    affinity-weighted pairwise loss over span(A) in Gr(m, n). ``mean`` and
-    ``dataset_variance`` are as in ``explained_variance_ratio``.
+    affinity-weighted pairwise loss over span(A) in Gr(m, n).
+    ``dataset_variance`` is as in ``explained_variance_ratio``.
     """
     _check_metric(metric)
     stacked = stack_points(dataset)
@@ -526,7 +488,7 @@ def fit_supervised(
             "supervised fit needs at least two classes; use fit_unsupervised instead"
         )
     if dataset_variance is None:
-        dataset_variance = variance(dataset, mean=_mean_for(dataset, stacked, mean))
+        dataset_variance = variance(dataset)
     distances = pairwise_distances(stacked, metric="projection")
     affinity = build_affinity(labels, distances, k_w, k_b)
 
@@ -545,22 +507,15 @@ def nested_sequence(
     metric: str = "projection",
     config: OptimizerConfig | None = None,
     rng: np.random.Generator | None = None,
-) -> list[SequenceEntry]:
-    """Fit one model per candidate dimension and report the variance ratios.
+) -> list[FitReport]:
+    """Fit one unsupervised model per candidate dimension, in the order of ``dims``.
 
-    Fits are independent and share the dataset's Karcher mean and variance;
-    per-fit failures are recorded in the entry and the scan continues.
+    Fits are independent and share the dataset's variance; report i fits
+    dims[i] (its ``map.m``). A failing fit raises its GrassdrError.
     ``dims`` must be strictly increasing.
     """
     dims = list(dims)
     if any(b <= a for a, b in zip(dims, dims[1:])):
         raise ShapeError("dims must be strictly increasing")
-    _, var = dataset_reference(dataset)
-    entries: list[SequenceEntry] = []
-    for m in dims:
-        try:
-            report = fit_unsupervised(dataset, m, metric=metric, config=config, rng=rng, dataset_variance=var)
-            entries.append(SequenceEntry(m, report.explained_variance_ratio, report=report))
-        except GrassdrError as exc:
-            entries.append(SequenceEntry(m, float("nan"), error=str(exc)))
-    return entries
+    var = variance(dataset)
+    return [fit_unsupervised(dataset, m, metric=metric, config=config, rng=rng, dataset_variance=var) for m in dims]

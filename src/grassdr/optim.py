@@ -17,9 +17,16 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConvergenceError, ShapeError
-from .geometry import _as_matrix, _canonical_qr, adjoint
+from .geometry import ORTHONORMAL_ATOL, _as_matrix, _canonical_qr, adjoint
 
 LossAndGrad = Callable[[np.ndarray, np.ndarray], tuple[float, tuple[np.ndarray, np.ndarray]]]
+
+# Line search: the first trial step, the Armijo sufficient-decrease slope, the
+# factor each backtrack shrinks the step by, and the backtracks allowed.
+INITIAL_STEP = 1.0
+ARMIJO_SLOPE = 1e-4
+BACKTRACK_FACTOR = 0.5
+MAX_BACKTRACKS = 30
 
 
 @dataclass(frozen=True, eq=False)
@@ -34,7 +41,7 @@ class ProductPoint:
         b = np.asarray(self.B, dtype=a.dtype).copy()
         if b.ndim != 2 or b.shape[0] != a.shape[0]:
             raise ShapeError(f"B must be {a.shape[0]} x p, got {b.shape}")
-        if np.abs(adjoint(a) @ a - np.eye(a.shape[1])).max() > 1e-10:
+        if not np.abs(adjoint(a) @ a - np.eye(a.shape[1])).max() <= ORTHONORMAL_ATOL:  # NaN and inf fail too
             raise ShapeError("A must have orthonormal columns")
         self._freeze(a, b)
 
@@ -98,19 +105,12 @@ def transport(from_point: ProductPoint, to_point: ProductPoint, v: ProductTangen
 class OptimizerConfig:
     max_iter: int = 300
     grad_tol: float = 1e-6
-    initial_step: float = 1.0
-    armijo_slope: float = 1e-4
-    backtrack_factor: float = 0.5
-    max_backtracks: int = 30
 
     def __post_init__(self):
-        if min(self.max_iter, self.max_backtracks) < 1:
-            raise ValueError("max_iter and max_backtracks must be positive")
-        # Written as "not > 0" so that NaN fails too.
-        if not all(v > 0 for v in (self.grad_tol, self.initial_step, self.armijo_slope)):
-            raise ValueError("grad_tol, initial_step and armijo_slope must be positive")
-        if not 0.0 < self.backtrack_factor < 1.0:
-            raise ValueError("backtrack_factor must lie in (0, 1)")
+        if self.max_iter < 1:
+            raise ValueError("max_iter must be positive")
+        if not self.grad_tol > 0:  # NaN fails too
+            raise ValueError("grad_tol must be positive")
 
 
 @dataclass
@@ -131,15 +131,15 @@ def _restart_period(point: ProductPoint) -> int:
     return max(1, m * (n - m) + n * p)
 
 
-def _line_search(loss_and_grad, point, f, d, slope_scale, t0, config):
+def _line_search(loss_and_grad, point, f, d, slope_scale, t0):
     """Backtracking Armijo search; returns (candidate, f, grads, t) or None."""
     t = t0
-    for _ in range(config.max_backtracks + 1):
+    for _ in range(MAX_BACKTRACKS + 1):
         cand = retract(point, d, t)
         fc, gc = loss_and_grad(cand.A, cand.B)
-        if fc <= f - config.armijo_slope * t * slope_scale:
+        if fc <= f - ARMIJO_SLOPE * t * slope_scale:
             return cand, fc, gc, t
-        t *= config.backtrack_factor
+        t *= BACKTRACK_FACTOR
     return None
 
 
@@ -150,7 +150,7 @@ def minimize(
 ) -> OptimizeResult:
     """Conjugate-gradient descent with Polak-Ribiere-plus directions.
 
-    Accepted steps satisfy f_new <= f - armijo_slope * t * max(|grad|^2, -<grad, d>),
+    Accepted steps satisfy f_new <= f - ARMIJO_SLOPE * t * max(|grad|^2, -<grad, d>),
     so the trace is strictly nonincreasing. Terminates when the Riemannian
     gradient norm reaches ``grad_tol`` or after ``max_iter`` iterations,
     returning the best point seen. If the line search stalls it retries once
@@ -166,7 +166,7 @@ def minimize(
     d = ProductTangent(-g.dA, -g.dB)
     trace = [float(f)]
     gnorm2 = inner(g, g)
-    t_next = config.initial_step
+    t_next = INITIAL_STEP
     converged = False
     iterations = 0
 
@@ -183,13 +183,13 @@ def minimize(
             gd = -gnorm2
         slope_scale = max(gnorm2, -gd)
 
-        hit = _line_search(loss_and_grad, point, f, d, slope_scale, t_next, config)
+        hit = _line_search(loss_and_grad, point, f, d, slope_scale, t_next)
         if hit is None:
             d = ProductTangent(-g.dA, -g.dB)
-            hit = _line_search(loss_and_grad, point, f, d, gnorm2, config.initial_step, config)
+            hit = _line_search(loss_and_grad, point, f, d, gnorm2, INITIAL_STEP)
         if hit is None:
             raise ConvergenceError(
-                f"line search failed after {config.max_backtracks} backtracks "
+                f"line search failed after {MAX_BACKTRACKS} backtracks "
                 f"(iteration {k}, gradient norm {gnorm:.3e})",
                 result=OptimizeResult(point, trace, iterations, False, gnorm),
             )
@@ -208,7 +208,7 @@ def minimize(
 
         point, f, g, gnorm2 = cand, fc, g_new, gnorm2_new
         trace.append(float(f))
-        t_next = min(config.initial_step, t / config.backtrack_factor)
+        t_next = min(INITIAL_STEP, t / BACKTRACK_FACTOR)
 
     return OptimizeResult(point, trace, iterations, converged, math.sqrt(max(gnorm2, 0.0)))
 

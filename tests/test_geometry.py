@@ -97,6 +97,16 @@ class TestOrthonormalize:
         with pytest.raises(DegenerateInputError, match="matrix 3 of the stack"):
             g.orthonormal_columns(m)
 
+    def test_stack_error_carries_the_index(self):
+        m = np.random.default_rng(6).standard_normal((5, 4, 2))
+        m[3, :, 1] = 2.0 * m[3, :, 0]
+        with pytest.raises(DegenerateInputError) as err:
+            g.orthonormal_columns(m)
+        assert err.value.index == 3
+        with pytest.raises(DegenerateInputError) as err:
+            g.orthonormal_columns(m[3])
+        assert err.value.index is None
+
     @pytest.mark.parametrize("bad", (np.nan, np.inf))
     def test_non_finite_basis_rejected(self, bad):
         with pytest.raises(DegenerateInputError):

@@ -15,6 +15,7 @@ import grassdr.cli as cli_module
 from grassdr import io
 from grassdr.cli import main
 from grassdr.errors import FormatError
+from grassdr.nested import unsupervised_loss_and_grad
 
 
 def make_dataset(rng, count=6, n=8, p=1, field="real"):
@@ -127,6 +128,21 @@ BAD_MODEL_EDITS = {
     "nan-in-B": lambda d: _edited(d, ["B", 2, 0], float("nan")),
 }
 
+# Malformed JSON inputs, each with the command that reads it: "shapes" takes
+# the document as a landmark file, "fit" takes it as the labels of a
+# two-point dataset fitted with --supervised.
+TRIANGLES = [[[0, 0], [1, 0], [0, 1]], [[0, 0], [2, 0], [0, 3]]]
+BAD_JSON_INPUTS = {
+    "shapes-int": ("shapes", {"shapes": 5}),
+    "shapes-string": ("shapes", {"shapes": "abc"}),
+    "shapes-empty": ("shapes", {"shapes": []}),
+    "coordinate-string": ("shapes", {"shapes": [[[0, 0], [1, "a"], [0, 1]], TRIANGLES[1]]}),
+    "shape-labels-int": ("shapes", {"shapes": TRIANGLES, "labels": 5}),
+    "shape-labels-objects": ("shapes", {"shapes": TRIANGLES, "labels": [{"a": 1}, {"b": 2}]}),
+    "labels-ragged": ("fit", [[1], [2, 3]]),
+    "labels-objects": ("fit", [{"a": 1}, {"b": 2}]),
+}
+
 
 class TestUntrustedFiles:
     def _dataset_doc(self, tmp_path):
@@ -160,6 +176,22 @@ class TestUntrustedFiles:
         data_path = tmp_path / "data.json"
         data_path.write_text(json.dumps(self._dataset_doc(tmp_path)))
         assert main(["project", str(path), str(data_path), "--out", str(tmp_path / "o.json")]) == 3
+
+    @pytest.mark.parametrize("name", BAD_JSON_INPUTS)
+    def test_malformed_json_input_exits_3(self, tmp_path, capsys, name):
+        command, content = BAD_JSON_INPUTS[name]
+        path = tmp_path / "in.json"
+        if command == "shapes":
+            doc, load, argv = content, io.load_landmarks, ["shapes", str(path), "-m", "1"]
+        else:
+            io.save_dataset(path, make_dataset(np.random.default_rng(22), count=2, n=5), labels=[0, 1])
+            doc = {**json.loads(path.read_text()), "labels": content}
+            load, argv = io.load_dataset, ["fit", str(path), "-m", "2", "--supervised"]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(FormatError):
+            load(path)
+        assert main(argv + ["--out", str(tmp_path / "out")]) == 3
+        assert "error:" in capsys.readouterr().err
 
 
 class TestLandmarkFiles:
@@ -231,7 +263,7 @@ class TestCliFit:
         assert main(["fit", str(data_path), "-m", "3", "--out", str(model_path), "--report", str(report_path)]) == 0
         nmap, meta = io.load_model(model_path)
         points, _ = io.load_dataset(data_path)
-        loss, _ = g.loss_unsupervised(nmap, points)
+        loss, _ = unsupervised_loss_and_grad(nmap.A, nmap.B, g.stack_points(points))
         report = json.loads(report_path.read_text())
         assert abs(loss - report["final_loss"]) < 1e-12
 
@@ -345,6 +377,15 @@ class TestCliSynth:
         runtimes = [float(line.split(",")[6]) for line in out.read_text().strip().splitlines()[1:]]
         assert len(runtimes) == 10
         assert min(runtimes) >= 0.2
+
+    def test_integer_columns_are_written_as_integers(self, tmp_path):
+        out = tmp_path / "t.csv"
+        assert main(["synth", "--preset", "table1", "--reps", "1", "--max-iter", "2", "--no-timing", "--out", str(out)]) == 0
+        with open(out, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert {r["rep"] for r in rows} == {"0"}
+        assert sorted({r["sigma_or_mdim"] for r in rows}, key=int) == ["2", "4", "6", "8", "10"]
+        assert [io.format_number(v) for v in (np.int64(3), 2.0, True, 0.25)] == ["3", "2.0", "1.0", "0.25"]
 
     def test_preset_required_or_dims(self, tmp_path):
         assert main(["synth", "--out", str(tmp_path / "x.csv")]) == 2

@@ -156,8 +156,9 @@ class TestUnsupervisedLoss:
         a, b = data.map.A, data.map.B
         r0 = adjoint(data.points[0].basis) @ (a @ data.planted[0].basis + b)
         nmap = NestedMap.from_unprojected(a, b @ np.linalg.inv(r0))
+        stacked = stack_points(data.points)
         for metric in ("projection", "geodesic"):
-            loss, _ = g.loss_unsupervised(nmap, data.points, metric)
+            loss, _ = unsupervised_loss_and_grad(nmap.A, nmap.B, stacked, metric)
             assert loss < 1e-12
 
     def test_single_point_cross_module_oracle(self):
@@ -167,15 +168,16 @@ class TestUnsupervisedLoss:
         raw = nmap.A @ (adjoint(nmap.A) @ x.basis) + nmap.B
         xhat = g.orthonormalize(raw)
         for metric, dist in (("projection", g.projection_distance), ("geodesic", g.geodesic_distance)):
-            loss, _ = g.loss_unsupervised(nmap, [x], metric)
+            loss, _ = unsupervised_loss_and_grad(nmap.A, nmap.B, x.basis[None], metric)
             assert loss == pytest.approx(dist(x, xhat) ** 2, abs=1e-10)
 
     def test_projection_below_geodesic(self):
         rng = np.random.default_rng(13)
         nmap = random_map(rng, 7, 3, 1)
         pts = random_dataset(rng, 10, 7, 1)
-        lp, _ = g.loss_unsupervised(nmap, pts, "projection")
-        lg, _ = g.loss_unsupervised(nmap, pts, "geodesic")
+        stacked = stack_points(pts)
+        lp, _ = unsupervised_loss_and_grad(nmap.A, nmap.B, stacked, "projection")
+        lg, _ = unsupervised_loss_and_grad(nmap.A, nmap.B, stacked, "geodesic")
         assert lp <= lg + 1e-12
 
     @pytest.mark.parametrize("field", ("real", "complex"))
@@ -271,7 +273,7 @@ class TestSupervisedLoss:
         rng = np.random.default_rng(19)
         pts = random_dataset(rng, 5, 6, 1)
         a = g.sample_stiefel_uniform(6, 3, rng=rng).basis
-        loss, grad = g.loss_supervised(a, pts, np.zeros((5, 5)))
+        loss, (grad, _) = supervised_loss_and_grad(a, stack_points(pts), np.zeros((5, 5)))
         assert loss == 0.0
         assert np.abs(grad).max() == 0.0
 
@@ -282,7 +284,7 @@ class TestSupervisedLoss:
         nmap = NestedMap(a, np.zeros((6, 1)))
         proj = [g.project_point(nmap, pt) for pt in pts]
         aff = np.array([[0.0, 1.0], [1.0, 0.0]])
-        loss, _ = g.loss_supervised(a, pts, aff)
+        loss, _ = supervised_loss_and_grad(a, stack_points(pts), aff)
         assert loss == pytest.approx(g.projection_distance(proj[0], proj[1]) ** 2 / 2.0, abs=1e-12)
 
     def test_order_permutation_invariance(self):
@@ -292,11 +294,11 @@ class TestSupervisedLoss:
         d = g.pairwise_distances(pts, "projection")
         aff = build_affinity(labels, d, 2, 2)
         a = g.sample_stiefel_uniform(6, 3, rng=rng).basis
-        l1, _ = g.loss_supervised(a, pts, aff)
+        l1, _ = supervised_loss_and_grad(a, stack_points(pts), aff)
         perm = np.array([3, 1, 5, 0, 2, 4])
         pts2 = [pts[i] for i in perm]
         aff2 = aff[np.ix_(perm, perm)]
-        l2, _ = g.loss_supervised(a, pts2, aff2)
+        l2, _ = supervised_loss_and_grad(a, stack_points(pts2), aff2)
         assert l1 == pytest.approx(l2, abs=1e-12)
 
     @pytest.mark.parametrize("p", (1, 2))
@@ -323,7 +325,7 @@ class TestSupervisedLoss:
         proj = [g.project_point(nmap, pt) for pt in pts]
         aff = np.full((3, 3), 1.0)
         np.fill_diagonal(aff, 0.0)
-        loss, _ = g.loss_supervised(a, pts, aff, "geodesic")
+        loss, _ = supervised_loss_and_grad(a, stack_points(pts), aff, "geodesic")
         expected = sum(
             g.geodesic_distance(proj[i], proj[j]) ** 2
             for i in range(3)
@@ -460,10 +462,11 @@ class TestVariance:
         data = g.generate(g.SynthConfig(N=20, n=8, m=4, p=2, sigma=0.2, seed=38))
         pts = data.points
         mu = g.frechet_mean(pts)
-        assert g.variance(pts, mean=mu) == g.variance(pts)
-        assert g.explained_variance_ratio(data.map, pts, mean=mu) == g.explained_variance_ratio(data.map, pts)
+        var = g.variance(pts, mean=mu)
+        assert var == g.variance(pts)
+        assert g.explained_variance_ratio(data.map, pts, dataset_variance=var) == g.explained_variance_ratio(data.map, pts)
         config = g.OptimizerConfig(max_iter=20)
-        with_mean = g.fit_unsupervised(pts, 5, config=config, mean=mu)
+        with_mean = g.fit_unsupervised(pts, 5, config=config, dataset_variance=var)
         without = g.fit_unsupervised(pts, 5, config=config)
         assert with_mean.explained_variance_ratio == without.explained_variance_ratio
         assert with_mean.loss_trace == without.loss_trace
@@ -477,12 +480,12 @@ class TestVariance:
         ratio = g.explained_variance_ratio(data.map, pts)
         assert g.explained_variance_ratio(data.map, pts, dataset_variance=var) == ratio
         config = g.OptimizerConfig(max_iter=20)
-        given = g.fit_unsupervised(pts, 5, config=config, mean=mu, dataset_variance=var)
+        given = g.fit_unsupervised(pts, 5, config=config, dataset_variance=var)
         without = g.fit_unsupervised(pts, 5, config=config)
         assert given.explained_variance_ratio == without.explained_variance_ratio
         assert given.loss_trace == without.loss_trace
         labels = [0, 1] * 10
-        given = g.fit_supervised(pts, labels, 5, config=config, mean=mu, dataset_variance=var)
+        given = g.fit_supervised(pts, labels, 5, config=config, dataset_variance=var)
         without = g.fit_supervised(pts, labels, 5, config=config)
         assert given.explained_variance_ratio == without.explained_variance_ratio
 
@@ -500,12 +503,8 @@ class TestVariance:
         pts = random_dataset(rng, 6, 8, 2)
         labels = [0, 1] * 3
         wrong = g.sample_stiefel_uniform(n, p, field, rng=rng)
-        config = g.OptimizerConfig(max_iter=2)
         calls = [
             lambda: g.variance(pts, mean=wrong),
-            lambda: g.explained_variance_ratio(random_map(rng, 8, 4, 2), pts, mean=wrong),
-            lambda: g.fit_unsupervised(pts, 4, config=config, mean=wrong),
-            lambda: g.fit_supervised(pts, labels, 4, config=config, mean=wrong),
             lambda: g.pga_fit(pts, 2, mean=wrong),
             lambda: g.spga_fit(pts, labels, 2, mean=wrong),
         ]
@@ -531,16 +530,27 @@ class TestNestedSequence:
 
     def test_near_full_dimension_ratio(self):
         data = g.generate(g.SynthConfig(N=20, n=8, m=3, p=1, sigma=0.0, b_std=0.0, seed=35))
-        entries = g.nested_sequence(data.points, [7])
-        assert entries[0].m == 7
-        assert entries[0].ratio > 0.99
-        assert entries[0].error is None
+        reports = g.nested_sequence(data.points, [7])
+        assert reports[0].map.m == 7
+        assert reports[0].explained_variance_ratio > 0.99
 
     def test_reports_all_requested_dims(self):
         data = g.generate(g.SynthConfig(N=15, n=8, m=3, p=1, sigma=0.3, seed=36))
-        entries = g.nested_sequence(data.points, [2, 4, 6], config=g.OptimizerConfig(max_iter=60))
-        assert [e.m for e in entries] == [2, 4, 6]
-        assert all(np.isfinite(e.ratio) for e in entries)
+        config = g.OptimizerConfig(max_iter=60)
+        reports = g.nested_sequence(data.points, [2, 4, 6], config=config)
+        assert all(isinstance(r, g.FitReport) for r in reports)
+        assert [r.map.m for r in reports] == [2, 4, 6]
+        assert all(np.isfinite(r.explained_variance_ratio) for r in reports)
+        alone = g.fit_unsupervised(data.points, 4, config=config)
+        assert reports[1].explained_variance_ratio == alone.explained_variance_ratio
+        assert reports[1].loss_trace == alone.loss_trace
+
+    def test_failing_fit_raises(self):
+        # m = 1 is not above p = 1: the fit's ShapeError propagates.
+        rng = np.random.default_rng(38)
+        pts = random_dataset(rng, 6, 6, 1)
+        with pytest.raises(ShapeError, match="target dimension"):
+            g.nested_sequence(pts, [1, 3])
 
     def test_non_increasing_dims_rejected(self):
         rng = np.random.default_rng(37)

@@ -50,6 +50,13 @@ class TestRiemannianGradient:
             riemannian_gradient(pt, (np.zeros((7, 2)), np.zeros((7, 2))))
 
 
+class TestProductPoint:
+    @pytest.mark.parametrize("a", (np.ones((3, 1)), np.full((3, 1), np.nan)))
+    def test_non_orthonormal_or_non_finite_a_rejected(self, a):
+        with pytest.raises(ShapeError):
+            ProductPoint(a, np.zeros((3, 1)))
+
+
 class TestRetract:
     def test_zero_step_identity(self):
         rng = np.random.default_rng(4)
@@ -203,7 +210,7 @@ class TestMinimize:
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
-            OptimizerConfig(backtrack_factor=1.5)
+            OptimizerConfig(grad_tol=-1.0)
         with pytest.raises(ValueError):
             OptimizerConfig(max_iter=0)
         with pytest.raises(ValueError):
