@@ -16,9 +16,11 @@ from .errors import (
     UndefinedRatioError,
 )
 from .geometry import (
+    Dataset,
     GrassmannPoint,
     TangentVector,
     adjoint,
+    as_dataset,
     exp_map,
     frechet_mean,
     geodesic_distance,
@@ -31,12 +33,12 @@ from .geometry import (
     sample_stiefel_uniform,
     stack_points,
     tangent_project,
+    variance,
 )
 from .nested import (
     FitReport,
     NestedMap,
     build_affinity,
-    dataset_reference,
     embed_point,
     explained_variance_ratio,
     fit_supervised,
@@ -45,7 +47,6 @@ from .nested import (
     project_dataset,
     project_point,
     reconstruct_point,
-    variance,
 )
 from .optim import (
     OptimizeResult,

@@ -14,7 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DegenerateInputError, ShapeError, SupervisionDegenerateError, UndefinedRatioError
-from .geometry import GrassmannPoint, _batched_log_mats, _mean_for, adjoint, pairwise_distances, stack_points
+from .geometry import GrassmannPoint, _batched_log_mats, adjoint, as_dataset, pairwise_distances
 
 
 @dataclass(frozen=True, eq=False)
@@ -63,19 +63,18 @@ def _tangent_coordinates(stacked: np.ndarray, mean: GrassmannPoint) -> np.ndarra
     return _flatten_tangents(_batched_log_mats(mean.basis, stacked))
 
 
-def pga_fit(dataset: Sequence[GrassmannPoint], num_components: int, mean: GrassmannPoint | None = None) -> PgaModel:
-    """Tangent PCA at the Frechet mean.
+def pga_fit(dataset: Sequence[GrassmannPoint], num_components: int) -> PgaModel:
+    """Tangent PCA at the Frechet mean (``Dataset.mean``).
 
     Eigenvectors of the uncentered sample covariance of the log-mapped data
     (tangent vectors at the mean already average to approximately zero);
-    eigenvalues become the component variances. ``mean`` is the dataset's
-    Karcher mean if the caller has it; otherwise it is computed here.
+    eigenvalues become the component variances.
     """
     if len(dataset) < 2:
         raise ShapeError("PGA needs at least two points")
-    stacked = stack_points(dataset)
-    mean = _mean_for(dataset, stacked, mean)
-    coords = _tangent_coordinates(stacked, mean)
+    ds = as_dataset(dataset)
+    mean = ds.mean
+    coords = _tangent_coordinates(ds.stacked, mean)
     total = float((coords**2).sum(axis=1).mean())
     if total <= 1e-24:
         raise DegenerateInputError("all points coincide: tangent variance is zero")
@@ -95,7 +94,7 @@ def pga_explained_variance(model: PgaModel, dataset: Sequence[GrassmannPoint], k
     """Tangent variance captured by the model's top-k components, in [0, 1]."""
     if k < 0 or k > model.components.shape[0]:
         raise ShapeError(f"k must be in [0, {model.components.shape[0]}], got {k}")
-    coords = _tangent_coordinates(stack_points(dataset), model.mean)
+    coords = _tangent_coordinates(as_dataset(dataset).stacked, model.mean)
     total = float((coords**2).sum(axis=1).mean())
     if total <= 1e-24:
         raise UndefinedRatioError("zero total tangent variance")
@@ -106,10 +105,8 @@ def pga_explained_variance(model: PgaModel, dataset: Sequence[GrassmannPoint], k
     return captured / total
 
 
-def spga_fit(
-    dataset: Sequence[GrassmannPoint], labels, num_components: int, mean: GrassmannPoint | None = None
-) -> PgaModel:
-    """Supervised PGA: supervised PCA in the tangent space at the Frechet mean.
+def spga_fit(dataset: Sequence[GrassmannPoint], labels, num_components: int) -> PgaModel:
+    """Supervised PGA: supervised PCA in the tangent space at the Frechet mean (``Dataset.mean``).
 
     The leading components are eigenvectors of T H K H T^H with T the
     tangent coordinate matrix, H the centering operator and K_ij = 1[y_i = y_j].
@@ -121,7 +118,6 @@ def spga_fit(
     null-space vector chosen by eigensolver rounding.
     ``component_variances`` holds the operator's eigenvalues (supervised
     objective scores, not captured variances), and 0 for the completion.
-    ``mean`` is as in ``pga_fit``.
     """
     labels = np.asarray(labels)
     if labels.shape[0] != len(dataset):
@@ -129,9 +125,9 @@ def spga_fit(
     n_classes = np.unique(labels).size
     if n_classes < 2:
         raise SupervisionDegenerateError("supervised PGA needs at least two classes")
-    stacked = stack_points(dataset)
-    mean = _mean_for(dataset, stacked, mean)
-    coords = _tangent_coordinates(stacked, mean)
+    ds = as_dataset(dataset)
+    mean = ds.mean
+    coords = _tangent_coordinates(ds.stacked, mean)
     n_pts, dim = coords.shape
     if not 1 <= num_components <= dim:
         raise ShapeError(f"num_components must be in [1, {dim}], got {num_components}")
@@ -154,7 +150,7 @@ def spga_fit(
 
 def pga_coordinates(model: PgaModel, dataset: Sequence[GrassmannPoint]) -> np.ndarray:
     """Coefficients of each point on the model's components (N, k)."""
-    coords = _tangent_coordinates(stack_points(dataset), model.mean)
+    coords = _tangent_coordinates(as_dataset(dataset).stacked, model.mean)
     return coords @ _flatten_tangents(model.components).T
 
 

@@ -9,9 +9,9 @@ pass --no-timing to omit wall-clock fields (making outputs byte-stable).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 import time
-from typing import NamedTuple
 
 import numpy as np
 
@@ -19,8 +19,8 @@ from . import __version__, io
 from .baselines import gknn_loo, knn_loo_from_distances, pga_coordinates, pga_explained_variance, pga_fit, spga_fit
 from .datagen import SynthConfig, generate, two_class_shapes
 from .errors import ConvergenceError, GrassdrError
-from .geometry import GrassmannPoint
-from .nested import dataset_reference, fit_supervised, fit_unsupervised, project_dataset, reconstruct_point
+from .geometry import Dataset
+from .nested import fit_supervised, fit_unsupervised, project_dataset, reconstruct_point
 from .optim import OptimizerConfig
 from .shape import kads_to_grassmann
 
@@ -30,6 +30,10 @@ EXIT_DATA = 3
 EXIT_CONVERGENCE = 4
 
 SYNTH_HEADER = ("preset", "rep", "sigma_or_mdim", "method", "metric", "explained_variance", "runtime_seconds", "status")
+
+# A custom synth run's options and defaults; a preset fixes them and rejects any other value.
+CUSTOM_SYNTH_OPTIONS = {"--num-points": 50, "--ambient-dim": None, "--planted-dim": None, "--subspace-dim": 1,
+                        "--sigma": 0.0, "--fit-dim": None, "--metric": "both"}
 
 
 class UsageError(GrassdrError):
@@ -56,6 +60,10 @@ def cmd_fit(args) -> int:
     points, labels = io.load_dataset(args.dataset)
     if args.supervised and labels is None:
         raise UsageError("--supervised requires a labeled dataset")
+    points = Dataset(points)
+    n, p = points.stacked.shape[1:]
+    if not p < args.m <= n:
+        raise UsageError(f"--m must be in [{p + 1}, {n}] (p < m <= n), got {args.m}")
     config = _optimizer_config(args)
     rng = np.random.default_rng(args.seed)
     start = time.perf_counter()
@@ -125,31 +133,24 @@ def _rep_seed(seed: int, rep: int) -> int:
     return seed + rep
 
 
-class _Shared(NamedTuple):
-    """A synth dataset's ``dataset_reference`` and the seconds it took.
+def _synth_dataset(**config) -> tuple[Dataset, float]:
+    """``generate(SynthConfig(**config))`` as a Dataset, and the seconds its Karcher mean and variance took.
 
-    Every row that uses the shared mean adds those seconds to its runtime, so
-    a row reports what its fit costs end to end.
+    Each row that uses the mean adds those seconds to its runtime, so it
+    reports its fit's cost end to end; a failed mean is each such row's error.
     """
-
-    mean: GrassmannPoint | None
-    variance: float | None
-    seconds: float
-
-
-def _shared(points) -> _Shared:
+    ds = Dataset(generate(SynthConfig(**config)).points)
     start = time.perf_counter()
-    mean, var = dataset_reference(points)
-    return _Shared(mean, var, time.perf_counter() - start)
+    with contextlib.suppress(ConvergenceError):
+        ds.variance
+    return ds, time.perf_counter() - start
 
 
-def _ng_row(preset, rep, level, points, shared, fit_dim, metric, config, timing) -> tuple:
+def _ng_row(preset, rep, level, ds, mean_s, fit_dim, metric, config, timing) -> tuple:
     """One nested-model row: its explained variance, or an ``error: ...`` status."""
     try:
-        start = time.perf_counter() - shared.seconds
-        report = fit_unsupervised(
-            points, fit_dim, metric=metric, config=config, dataset_variance=shared.variance,
-        )
+        start = time.perf_counter() - mean_s
+        report = fit_unsupervised(ds, fit_dim, metric=metric, config=config)
         runtime = _elapsed(start, timing)
     except GrassdrError as exc:
         return (preset, rep, level, "ng", metric, "", "", f"error: {exc}")
@@ -157,67 +158,55 @@ def _ng_row(preset, rep, level, points, shared, fit_dim, metric, config, timing)
     return (preset, rep, level, "ng", metric, report.explained_variance_ratio, runtime, status)
 
 
+def _pga_rows(preset, rep, levels, dims, ds, mean_s, timing) -> list[tuple]:
+    """Rows of one PGA model with max(dims) components: its EV at each of ``dims``, or ``error: ...`` statuses."""
+    try:
+        start = time.perf_counter() - mean_s
+        model = pga_fit(ds, max(dims))
+        evs = [pga_explained_variance(model, ds, k) for k in dims]
+        runtime = _elapsed(start, timing)
+    except GrassdrError as exc:
+        return [(preset, rep, level, "pga", "tpca", "", "", f"error: {exc}") for level in levels]
+    return [(preset, rep, level, "pga", "tpca", ev, runtime, "ok") for level, ev in zip(levels, evs)]
+
+
 def _rows_fig3(rep: int, args, config) -> list[tuple]:
     rows = []
     for sigma in range(1, 11):
-        data = generate(SynthConfig(N=50, n=10, m=3, p=1, sigma=float(sigma), seed=_rep_seed(args.seed, rep) * 100 + sigma))
-        shared = _shared(data.points)
+        ds, mean_s = _synth_dataset(N=50, n=10, m=3, p=1, sigma=float(sigma), seed=_rep_seed(args.seed, rep) * 100 + sigma)
         for metric in ("projection", "geodesic"):
-            rows.append(_ng_row("fig3", rep, sigma, data.points, shared, 3, metric, config, args.timing))
+            rows.append(_ng_row("fig3", rep, sigma, ds, mean_s, 3, metric, config, args.timing))
     return rows
 
 
 def _rows_fig4(rep: int, args, config) -> list[tuple]:
     rows = []
-    timing = args.timing
     for idx, sigma in enumerate((0.01, 0.25, 0.5, 1.0, 1.5, 2.0)):
-        data = generate(SynthConfig(N=50, n=10, m=5, p=2, sigma=sigma, seed=_rep_seed(args.seed, rep) * 100 + idx))
-        shared = _shared(data.points)
-        rows.append(_ng_row("fig4", rep, sigma, data.points, shared, 3, "projection", config, timing))
-        try:
-            start = time.perf_counter() - shared.seconds
-            model = pga_fit(data.points, 2, mean=shared.mean)
-            ev = pga_explained_variance(model, data.points, 2)
-            rows.append(("fig4", rep, sigma, "pga", "tpca", ev, _elapsed(start, timing), "ok"))
-        except GrassdrError as exc:
-            rows.append(("fig4", rep, sigma, "pga", "tpca", "", "", f"error: {exc}"))
+        ds, mean_s = _synth_dataset(N=50, n=10, m=5, p=2, sigma=sigma, seed=_rep_seed(args.seed, rep) * 100 + idx)
+        rows.append(_ng_row("fig4", rep, sigma, ds, mean_s, 3, "projection", config, args.timing))
+        rows += _pga_rows("fig4", rep, [sigma], [2], ds, mean_s, args.timing)
     return rows
 
 
 def _rows_table1(rep: int, args, config) -> list[tuple]:
-    rows = []
-    timing = args.timing
     mdims = (2, 4, 6, 8, 10)
-    data = generate(SynthConfig(N=50, n=30, m=20, p=2, sigma=0.1, seed=_rep_seed(args.seed, rep)))
-    shared = _shared(data.points)
-    pga_model = None
-    try:
-        start = time.perf_counter() - shared.seconds
-        pga_model = pga_fit(data.points, max(mdims), mean=shared.mean)
-        pga_time = _elapsed(start, timing)
-    except GrassdrError as exc:
-        for mdim in mdims:
-            rows.append(("table1", rep, mdim, "pga", "tpca", "", "", f"error: {exc}"))
-    if pga_model is not None:
-        for mdim in mdims:
-            ev = pga_explained_variance(pga_model, data.points, mdim)
-            rows.append(("table1", rep, mdim, "pga", "tpca", ev, pga_time, "ok"))
+    ds, mean_s = _synth_dataset(N=50, n=30, m=20, p=2, sigma=0.1, seed=_rep_seed(args.seed, rep))
+    rows = _pga_rows("table1", rep, mdims, mdims, ds, mean_s, args.timing)
     for mdim in mdims:
         fit_dim = mdim // 2 + 2  # Gr(2, mdim/2 + 2) has dimension mdim
-        rows.append(_ng_row("table1", rep, mdim, data.points, shared, fit_dim, "projection", config, timing))
+        rows.append(_ng_row("table1", rep, mdim, ds, mean_s, fit_dim, "projection", config, args.timing))
     return rows
 
 
 def _rows_custom(rep: int, args, config) -> list[tuple]:
     metrics = ("projection", "geodesic") if args.metric == "both" else (args.metric,)
-    data = generate(SynthConfig(
+    ds, mean_s = _synth_dataset(
         N=args.num_points, n=args.ambient_dim, m=args.planted_dim,
         p=args.subspace_dim, sigma=args.sigma, seed=_rep_seed(args.seed, rep),
-    ))
+    )
     fit_dim = args.fit_dim if args.fit_dim is not None else args.planted_dim
-    shared = _shared(data.points)
     return [
-        _ng_row("custom", rep, args.sigma, data.points, shared, fit_dim, metric, config, args.timing)
+        _ng_row("custom", rep, args.sigma, ds, mean_s, fit_dim, metric, config, args.timing)
         for metric in metrics
     ]
 
@@ -230,6 +219,10 @@ def cmd_synth(args) -> int:
         raise UsageError("choose a --preset or give explicit dimensions")
     if args.preset is None and args.planted_dim is None:
         raise UsageError("a custom synth run needs --planted-dim as well as --ambient-dim")
+    if args.preset is not None:
+        for flag, default in CUSTOM_SYNTH_OPTIONS.items():
+            if getattr(args, flag[2:].replace("-", "_")) != default:
+                raise UsageError(f"{flag} applies to a custom run only, not to --preset {args.preset}")
     config = _optimizer_config(args)
     rows_for = PRESETS.get(args.preset, _rows_custom)
     rows = [row for rep in range(args.reps) for row in rows_for(rep, args, config)]
@@ -268,7 +261,7 @@ def cmd_shapes(args) -> int:
         raise UsageError("--supervised requires a labeled landmark file")
     if labels is not None and args.knn > len(shapes) - 1:
         raise UsageError(f"--knn must be at most {len(shapes) - 1} (the number of other shapes), got {args.knn}")
-    points = [kads_to_grassmann(s) for s in shapes]
+    points = Dataset(kads_to_grassmann(s) for s in shapes)
     ambient = points[0].n
     fit_dim = args.m + 1  # reduce Gr(1, k-1) to Gr(1, m+1): manifold dimension m
     if not 1 < fit_dim <= ambient:
@@ -281,21 +274,18 @@ def cmd_shapes(args) -> int:
         acc_raw, _ = gknn_loo(points, labels, k=args.knn)
         rows.append(("raw", acc_raw, ""))
 
-    mean, var = dataset_reference(points)
-    report = fit_unsupervised(
-        points, fit_dim, metric=args.metric, config=config, rng=rng, restarts=args.restarts, dataset_variance=var,
-    )
+    report = fit_unsupervised(points, fit_dim, metric=args.metric, config=config, rng=rng, restarts=args.restarts)
     rows.append(_nested_row("ng", report, points, labels, args))
-    rows.append(_pga_row("pga", pga_fit(points, args.m, mean=mean), points, labels, args))
+    rows.append(_pga_row("pga", pga_fit(points, args.m), points, labels, args))
 
     if args.supervised:
         sng = fit_supervised(
             points, labels, fit_dim, metric=args.metric,
             k_w=args.k_within, k_b=args.k_between,
-            config=config, rng=rng, restarts=args.restarts, dataset_variance=var,
+            config=config, rng=rng, restarts=args.restarts,
         )
         rows.append(_nested_row("sng", sng, points, labels, args))
-        rows.append(_pga_row("spga", spga_fit(points, labels, args.m, mean=mean), points, labels, args))
+        rows.append(_pga_row("spga", spga_fit(points, labels, args.m), points, labels, args))
 
     io.write_table(args.out, ("method", "knn_accuracy", "explained_variance"), rows)
     return EXIT_OK
@@ -367,12 +357,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     synth = subs.add_parser("synth", help="run the synthetic-data protocol and emit a tidy CSV")
     synth.add_argument("--preset", choices=tuple(PRESETS), default=None)
-    synth.add_argument("--num-points", type=_int_at_least(2), default=50)
-    synth.add_argument("--ambient-dim", type=int, default=None)
-    synth.add_argument("--planted-dim", type=int, default=None)
-    synth.add_argument("--subspace-dim", type=int, default=1)
-    synth.add_argument("--sigma", type=float, default=0.0)
-    synth.add_argument("--fit-dim", type=int, default=None)
+    synth.add_argument("--num-points", type=_int_at_least(2), default=CUSTOM_SYNTH_OPTIONS["--num-points"])
+    synth.add_argument("--ambient-dim", type=int, default=CUSTOM_SYNTH_OPTIONS["--ambient-dim"])
+    synth.add_argument("--planted-dim", type=int, default=CUSTOM_SYNTH_OPTIONS["--planted-dim"])
+    synth.add_argument("--subspace-dim", type=int, default=CUSTOM_SYNTH_OPTIONS["--subspace-dim"])
+    synth.add_argument("--sigma", type=float, default=CUSTOM_SYNTH_OPTIONS["--sigma"])
+    synth.add_argument("--fit-dim", type=int, default=CUSTOM_SYNTH_OPTIONS["--fit-dim"])
     synth.add_argument("--reps", type=_positive_int, default=20)
     synth.add_argument("--out", required=True)
     _add_common_fit_options(synth, allow_both_metrics=True)

@@ -117,6 +117,11 @@ def two_class_shapes(
         raise ShapeError("need at least two shapes")
     if k <= 2:
         raise ShapeError("need k > 2 landmarks")
+    if not np.isfinite(deform):
+        raise ShapeError(f"deform must be finite, got {deform}")
+    for name, value in (("nuisance", nuisance), ("noise", noise)):
+        if not (np.isfinite(value) and value >= 0):
+            raise ShapeError(f"{name} must be finite and nonnegative, got {value}")
     theta = 2.0 * np.pi * np.arange(k) / k
     harmonics = [h for h in range(2, NUISANCE_MODES + 4) if h != 4][:NUISANCE_MODES]
     labels = np.arange(n_shapes) % 2

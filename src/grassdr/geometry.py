@@ -9,7 +9,8 @@ share one code path.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from functools import cached_property
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -61,6 +62,14 @@ def _as_matrix(m, name: str = "matrix", stack: bool = False) -> np.ndarray:
     return a.astype(dtype, copy=False)
 
 
+def check_orthonormal(a: np.ndarray, atol: float, error: type[Exception], message: str, *args) -> float:
+    """max |A^H A - I| of ``a``; above ``atol``, or NaN, raises ``error(message.format(drift=...), *args)``."""
+    drift = float(np.abs(adjoint(a) @ a - np.eye(a.shape[1])).max())
+    if not drift <= atol:
+        raise error(message.format(drift=drift), *args)
+    return drift
+
+
 @dataclass(frozen=True, eq=False)
 class GrassmannPoint:
     """An element of Gr(p, n), held as an n x p orthonormal basis."""
@@ -72,11 +81,9 @@ class GrassmannPoint:
         n, p = b.shape
         if not 1 <= p <= n:
             raise ShapeError(f"need 1 <= p <= n, got basis shape {(n, p)}")
-        gram = adjoint(b) @ b
-        if not np.abs(gram - np.eye(p)).max() <= ORTHONORMAL_ATOL:  # NaN and inf fail too
-            raise DegenerateInputError(
-                "basis columns are not orthonormal; use orthonormalize() first"
-            )
+        check_orthonormal(
+            b, ORTHONORMAL_ATOL, DegenerateInputError, "basis columns are not orthonormal; use orthonormalize() first"
+        )
         b.setflags(write=False)
         object.__setattr__(self, "basis", b)
 
@@ -307,7 +314,7 @@ def _pairwise_angles(stacked: np.ndarray) -> np.ndarray:
 
 def pairwise_distances(points: Sequence[GrassmannPoint], metric: str = "geodesic") -> np.ndarray:
     """Symmetric N x N distance matrix under the chosen metric, zero diagonal."""
-    stacked = points if isinstance(points, np.ndarray) else stack_points(points)
+    stacked = points if isinstance(points, np.ndarray) else as_dataset(points).stacked
     theta = _pairwise_angles(stacked)
     if metric == "geodesic":
         d = np.sqrt((theta**2).sum(axis=-1))
@@ -353,11 +360,9 @@ def frechet_mean(
     Always takes the unit step and returns once the gradient norm drops to
     ``tol``. Raises ConvergenceError (carrying the last iterate) after
     ``max_iter`` sweeps. The log map is defined on the whole manifold, so
-    no point raises CutLocusError.
+    no point raises CutLocusError. ``Dataset.mean`` keeps this mean.
     """
-    if len(points) == 0:
-        raise ShapeError("frechet_mean of an empty sequence")
-    stacked = stack_points(points)
+    stacked = as_dataset(points).stacked
     mu = _leading_left_singular_vectors(stacked, stacked.shape[2])
     for _ in range(max_iter):
         g = _batched_log_mats(mu, stacked).mean(axis=0)
@@ -370,10 +375,52 @@ def frechet_mean(
     )
 
 
-def _mean_for(points: Sequence[GrassmannPoint], stacked: np.ndarray, mean: GrassmannPoint | None) -> GrassmannPoint:
-    """``mean`` checked against the stacked data, or the Karcher mean of ``points`` when it is None."""
-    if mean is None:
-        return frechet_mean(points)
-    if not isinstance(mean, GrassmannPoint) or mean.basis.shape != stacked.shape[1:] or mean.basis.dtype != stacked.dtype:
-        raise ShapeError(f"mean must be a GrassmannPoint with the data's (n, p) = {stacked.shape[1:]} and field")
-    return mean
+def variance(points: Sequence[GrassmannPoint]) -> float:
+    """Frechet variance: mean squared geodesic distance to the Karcher mean (``Dataset.variance`` keeps it)."""
+    ds = as_dataset(points)
+    s = np.linalg.svd(adjoint(ds.mean.basis) @ ds.stacked, compute_uv=False)
+    return float((_angles_from_cosines(s) ** 2).sum(axis=-1).mean())
+
+
+class Dataset(tuple):
+    """An immutable dataset of GrassmannPoints on one Gr(p, n) over one field.
+
+    The points are checked and stacked once, into the read-only (N, n, p)
+    ``stacked``. The Karcher mean and Frechet variance are computed on first
+    use and kept, so all fits and ratios on one Dataset share them; a mean
+    that fails to converge raises its ConvergenceError again on every use.
+    """
+
+    def __new__(cls, points: Iterable[GrassmannPoint]) -> "Dataset":
+        ds = super().__new__(cls, points)
+        stacked = stack_points(ds)
+        stacked.setflags(write=False)
+        ds.__dict__["stacked"] = stacked
+        return ds
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"a Dataset is immutable; cannot set {name!r}")
+
+    @cached_property
+    def _mean(self) -> GrassmannPoint | ConvergenceError:
+        try:
+            return frechet_mean(self)
+        except ConvergenceError as exc:
+            return exc
+
+    @property
+    def mean(self) -> GrassmannPoint:
+        """The Karcher mean, from ``frechet_mean`` with its defaults."""
+        if isinstance(self._mean, ConvergenceError):
+            raise self._mean
+        return self._mean
+
+    @cached_property
+    def variance(self) -> float:
+        """The Frechet variance about ``mean`` (module-level ``variance``)."""
+        return variance(self)
+
+
+def as_dataset(points: Sequence[GrassmannPoint]) -> Dataset:
+    """``points`` as a Dataset: a Dataset unchanged, any other sequence checked and stacked."""
+    return points if isinstance(points, Dataset) else Dataset(points)

@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import FormatError
-from .geometry import GrassmannPoint, adjoint, orthonormal_columns
+from .geometry import GrassmannPoint, check_orthonormal, orthonormal_columns
 from .nested import NestedMap
 from .shape import KAds
 
@@ -73,9 +73,8 @@ def _check_header(doc, where: str, counts: Sequence[str], lists: Sequence[str]) 
 
 
 def _restore_basis(mat: np.ndarray, where: str) -> GrassmannPoint:
-    drift = float(np.abs(adjoint(mat) @ mat - np.eye(mat.shape[1])).max())
-    if not drift <= LOAD_DRIFT_LIMIT:  # NaN and inf fail too
-        raise FormatError(f"stored basis is not orthonormal (drift {drift:.3e})", where)
+    message = "stored basis is not orthonormal (drift {drift:.3e})"
+    drift = check_orthonormal(mat, LOAD_DRIFT_LIMIT, FormatError, message, where)
     if drift > 1e-11:
         mat = orthonormal_columns(mat)
     return GrassmannPoint(mat)

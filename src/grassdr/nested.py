@@ -28,7 +28,6 @@ from .errors import (
     ConvergenceError,
     DegenerateInputError,
     DegenerateProjectionError,
-    GrassdrError,
     ShapeError,
     SupervisionDegenerateError,
     UndefinedRatioError,
@@ -36,18 +35,17 @@ from .errors import (
 from .geometry import (
     ORTHONORMAL_ATOL,
     GrassmannPoint,
-    _angles_from_cosines,
     _canonical_qr,
     _columns,
     _leading_left_singular_vectors,
-    _mean_for,
     adjoint,
-    frechet_mean,
+    as_dataset,
+    check_orthonormal,
     orthonormal_columns,
     orthonormalize,
     pairwise_distances,
     sample_stiefel_uniform,
-    stack_points,
+    variance,
 )
 from .optim import OptimizeResult, OptimizerConfig, ProductPoint, minimize
 
@@ -75,9 +73,8 @@ class NestedMap:
         b = np.asarray(self.B, dtype=a.dtype)
         if a.ndim != 2 or b.ndim != 2 or b.shape[0] != a.shape[0]:
             raise ShapeError(f"incompatible shapes A {a.shape}, B {b.shape}")
-        # Written as "not <=" so that NaN and inf fail the checks.
-        if not np.abs(adjoint(a) @ a - np.eye(a.shape[1])).max() <= ORTHONORMAL_ATOL:
-            raise ShapeError("A must have orthonormal columns")
+        check_orthonormal(a, ORTHONORMAL_ATOL, ShapeError, "A must have orthonormal columns")
+        # Written as "not <=" so that NaN and inf fail the check.
         if b.shape[1] and not np.abs(adjoint(a) @ b).max() <= 1e-8:
             raise ShapeError("B must lie in the nullspace of A^H; use from_unprojected()")
         a = a.copy()
@@ -151,7 +148,7 @@ def reconstruct_point(nmap: NestedMap, x: GrassmannPoint) -> GrassmannPoint:
 
 def project_dataset(nmap: NestedMap, points: Sequence[GrassmannPoint]) -> list[GrassmannPoint]:
     """Project many points at once; errors name the offending data index."""
-    stacked = stack_points(points)
+    stacked = as_dataset(points).stacked
     if stacked.shape[1] != nmap.n or stacked.shape[2] != nmap.p:
         raise ShapeError("dataset dims do not match the map")
     try:
@@ -337,49 +334,17 @@ def supervised_loss_and_grad(
 # ---------------------------------------------------------------------------
 
 
-def variance(points: Sequence[GrassmannPoint], mean: GrassmannPoint | None = None) -> float:
-    """Frechet variance: mean squared geodesic distance to the Karcher mean.
-
-    A caller that already holds the dataset's mean passes it as ``mean``;
-    otherwise it is computed here.
-    """
-    stacked = stack_points(points)
-    mu = _mean_for(points, stacked, mean)
-    s = np.linalg.svd(adjoint(mu.basis) @ stacked, compute_uv=False)
-    theta = _angles_from_cosines(s)
-    return float((theta**2).sum(axis=-1).mean())
-
-
-def dataset_reference(dataset: Sequence[GrassmannPoint]) -> tuple[GrassmannPoint | None, float | None]:
-    """Karcher mean and Frechet variance of ``dataset``, computed once for every fit on it.
-
-    Returns (None, None) when the mean cannot be computed, so that each fit
-    computes it again and reports the error itself.
-    """
-    try:
-        mean = frechet_mean(dataset)
-    except GrassdrError:
-        return None, None
-    return mean, variance(dataset, mean=mean)
-
-
-def explained_variance_ratio(
-    nmap: NestedMap,
-    dataset: Sequence[GrassmannPoint],
-    dataset_variance: float | None = None,
-) -> float:
+def explained_variance_ratio(nmap: NestedMap, dataset: Sequence[GrassmannPoint]) -> float:
     """Variance of the projected points over the variance of the originals.
 
-    A caller that already has the dataset's variance (``dataset_reference``)
-    passes it as ``dataset_variance``; otherwise it is computed here.
+    The denominator is ``Dataset.variance``, so ratios on one Dataset share it.
     """
     if len(dataset) < 2:
         raise ShapeError("need at least two points for a variance ratio")
-    var_orig = variance(dataset) if dataset_variance is None else dataset_variance
-    if var_orig <= 1e-24:
+    ds = as_dataset(dataset)
+    if ds.variance <= 1e-24:
         raise UndefinedRatioError("original dataset has zero Frechet variance")
-    var_proj = variance(project_dataset(nmap, dataset))
-    return var_proj / var_orig
+    return variance(project_dataset(nmap, ds)) / ds.variance
 
 
 def _fit_dims(stacked: np.ndarray, m: int) -> tuple[int, int]:
@@ -434,7 +399,6 @@ def fit_unsupervised(
     config: OptimizerConfig | None = None,
     rng: np.random.Generator | None = None,
     restarts: int = 1,
-    dataset_variance: float | None = None,
 ) -> FitReport:
     """Fit the unsupervised nested model by minimizing reconstruction error.
 
@@ -442,20 +406,18 @@ def fit_unsupervised(
     returned map stores B = (I - A A^H) B-tilde. A is initialized from the
     m leading left singular vectors of the column-stacked data; additional
     restarts (seeded by ``rng``) keep the best final loss.
-    ``dataset_variance`` is as in ``explained_variance_ratio``.
     """
     _check_metric(metric)
-    stacked = stack_points(dataset)
-    _, p = _fit_dims(stacked, m)
-    if dataset_variance is None:
-        dataset_variance = variance(dataset)
+    ds = as_dataset(dataset)
+    _, p = _fit_dims(ds.stacked, m)
+    ds.variance  # a dataset without a Karcher mean fails here, before the fit
 
     def loss(a, b):
-        return unsupervised_loss_and_grad(a, b, stacked, metric)
+        return unsupervised_loss_and_grad(a, b, ds.stacked, metric)
 
-    best = _best_of_restarts(loss, stacked, m, p, config, rng, restarts)
+    best = _best_of_restarts(loss, ds.stacked, m, p, config, rng, restarts)
     nmap = NestedMap.from_unprojected(best.point.A, best.point.B)
-    ratio = explained_variance_ratio(nmap, dataset, dataset_variance=dataset_variance)
+    ratio = explained_variance_ratio(nmap, ds)
     return FitReport(nmap, best.loss_trace, ratio, best.iterations, best.converged)
 
 
@@ -469,16 +431,15 @@ def fit_supervised(
     config: OptimizerConfig | None = None,
     rng: np.random.Generator | None = None,
     restarts: int = 1,
-    dataset_variance: float | None = None,
 ) -> FitReport:
     """Fit the supervised nested model (B fixed at zero).
 
     Builds the affinity from ambient projection distances, then minimizes the
     affinity-weighted pairwise loss over span(A) in Gr(m, n).
-    ``dataset_variance`` is as in ``explained_variance_ratio``.
     """
     _check_metric(metric)
-    stacked = stack_points(dataset)
+    ds = as_dataset(dataset)
+    stacked = ds.stacked
     n, p = _fit_dims(stacked, m)
     labels = np.asarray(labels)
     if labels.shape[0] != stacked.shape[0]:
@@ -487,8 +448,7 @@ def fit_supervised(
         raise SupervisionDegenerateError(
             "supervised fit needs at least two classes; use fit_unsupervised instead"
         )
-    if dataset_variance is None:
-        dataset_variance = variance(dataset)
+    ds.variance  # a dataset without a Karcher mean fails here, before the fit
     distances = pairwise_distances(stacked, metric="projection")
     affinity = build_affinity(labels, distances, k_w, k_b)
 
@@ -497,7 +457,7 @@ def fit_supervised(
 
     best = _best_of_restarts(loss, stacked, m, 0, config, rng, restarts)
     nmap = NestedMap(best.point.A, np.zeros((n, p), dtype=stacked.dtype))
-    ratio = explained_variance_ratio(nmap, dataset, dataset_variance=dataset_variance)
+    ratio = explained_variance_ratio(nmap, ds)
     return FitReport(nmap, best.loss_trace, ratio, best.iterations, best.converged)
 
 
@@ -510,12 +470,12 @@ def nested_sequence(
 ) -> list[FitReport]:
     """Fit one unsupervised model per candidate dimension, in the order of ``dims``.
 
-    Fits are independent and share the dataset's variance; report i fits
-    dims[i] (its ``map.m``). A failing fit raises its GrassdrError.
-    ``dims`` must be strictly increasing.
+    Fits are independent and share one ``Dataset``, hence its variance;
+    report i fits dims[i] (its ``map.m``). A failing fit raises its
+    GrassdrError. ``dims`` must be strictly increasing.
     """
     dims = list(dims)
     if any(b <= a for a, b in zip(dims, dims[1:])):
         raise ShapeError("dims must be strictly increasing")
-    var = variance(dataset)
-    return [fit_unsupervised(dataset, m, metric=metric, config=config, rng=rng, dataset_variance=var) for m in dims]
+    ds = as_dataset(dataset)
+    return [fit_unsupervised(ds, m, metric=metric, config=config, rng=rng) for m in dims]

@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConvergenceError, ShapeError
-from .geometry import ORTHONORMAL_ATOL, _as_matrix, _canonical_qr, adjoint
+from .geometry import ORTHONORMAL_ATOL, _as_matrix, _canonical_qr, adjoint, check_orthonormal
 
 LossAndGrad = Callable[[np.ndarray, np.ndarray], tuple[float, tuple[np.ndarray, np.ndarray]]]
 
@@ -41,8 +41,7 @@ class ProductPoint:
         b = np.asarray(self.B, dtype=a.dtype).copy()
         if b.ndim != 2 or b.shape[0] != a.shape[0]:
             raise ShapeError(f"B must be {a.shape[0]} x p, got {b.shape}")
-        if not np.abs(adjoint(a) @ a - np.eye(a.shape[1])).max() <= ORTHONORMAL_ATOL:  # NaN and inf fail too
-            raise ShapeError("A must have orthonormal columns")
+        check_orthonormal(a, ORTHONORMAL_ATOL, ShapeError, "A must have orthonormal columns")
         self._freeze(a, b)
 
     def _freeze(self, a: np.ndarray, b: np.ndarray) -> None:

@@ -392,6 +392,32 @@ class TestFrechetMean:
             g.frechet_mean([])
 
 
+class TestDataset:
+    def test_checked_once_stacked_and_immutable(self):
+        rng = np.random.default_rng(29)
+        pts = [random_point(rng, 5, 2) for _ in range(4)]
+        ds = g.Dataset(pts)
+        assert g.as_dataset(ds) is ds
+        assert list(ds) == pts
+        assert np.array_equal(ds.stacked, g.stack_points(pts))
+        assert not ds.stacked.flags.writeable
+        with pytest.raises(AttributeError):
+            ds.mean = pts[0]
+        for other in (random_point(rng, 6, 2), random_point(rng, 5, 1), random_point(rng, 5, 2, "complex")):
+            with pytest.raises(ShapeError):
+                g.Dataset(pts + [other])
+        with pytest.raises(ShapeError):
+            g.Dataset([])
+
+    def test_mean_is_kept_and_matches_the_functions(self):
+        rng = np.random.default_rng(30)
+        pts = [random_point(rng, 5, 2) for _ in range(4)]
+        ds = g.Dataset(pts)
+        assert ds.variance == g.variance(pts)
+        assert ds.mean is ds.mean
+        assert np.array_equal(ds.mean.basis, g.frechet_mean(pts).basis)
+
+
 class TestLeadingLeftSingularVectors:
     def test_fewer_columns_than_k_pads_without_the_full_factor(self):
         # Np = 2 < k = 3 at n = 200000; a full n x n factor would need 320 GB.

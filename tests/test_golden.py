@@ -6,7 +6,8 @@ moves these numbers on purpose regenerates the files with
 
     PYTHONPATH=src python tests/test_golden.py
 
-and lists the old and new values in CHANGES.md. Run that way, the module
+and lists the old and new values in CHANGES.md; the run prints each value
+it changes as ``file row column: old -> new``. Run that way, the module
 pins OpenBLAS to one thread before numpy loads, so that regenerated files
 come from one fixed floating-point order whatever the machine's default.
 The ``..._does_not_depend_on_the_thread_count`` tests run the supervised
@@ -158,10 +159,30 @@ def test_synth_output_does_not_depend_on_the_thread_count(workdir, name):
     _compare_csv(*_outputs_at_one_and_two_threads(workdir, name, dict(RUNS)[name]))
 
 
+def _cells(path: Path) -> dict[str, str]:
+    """Every value of an output file by place: "row i column" in a CSV, the key (and list index) in a report."""
+    if not path.exists():
+        return {}
+    if path.suffix == ".csv":
+        with open(path, newline="") as fh:
+            return {f"row {i} {col}": v for i, row in enumerate(csv.DictReader(fh), 1) for col, v in row.items()}
+    cells = {}
+    for key, value in json.loads(path.read_text()).items():
+        for i, v in enumerate(value) if isinstance(value, list) else [(None, value)]:
+            cells[key if i is None else f"{key}[{i}]"] = json.dumps(v)
+    return cells
+
+
 def regenerate(workdir: Path) -> None:
+    """Rewrite every golden file from a fresh run and print each value that changes."""
     _prepare(workdir)
     for name, argv in RUNS:
-        shutil.copy(_run(workdir, name, argv), GOLDEN / name)
+        got = _run(workdir, name, argv)
+        old, new = _cells(GOLDEN / name), _cells(got)
+        for place in [*new, *(p for p in old if p not in new)]:
+            if old.get(place) != new.get(place):
+                print(f"{name} {place}: {old.get(place, '(none)')} -> {new.get(place, '(none)')}")
+        shutil.copy(got, GOLDEN / name)
 
 
 if __name__ == "__main__":

@@ -11,15 +11,23 @@ import numpy as np
 import pytest
 
 import grassdr as g
-import grassdr.cli as cli_module
 from grassdr import io
 from grassdr.cli import main
-from grassdr.errors import FormatError
+from grassdr.errors import ConvergenceError, FormatError
 from grassdr.nested import unsupervised_loss_and_grad
 
 
 def make_dataset(rng, count=6, n=8, p=1, field="real"):
     return [g.sample_stiefel_uniform(n, p, field, rng=rng) for _ in range(count)]
+
+
+def replace_everywhere(monkeypatch, original, replacement) -> None:
+    """Bind ``replacement`` at every grassdr module name bound to ``original``."""
+    for name, module in list(sys.modules.items()):
+        if name == "grassdr" or name.startswith("grassdr."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, replacement)
 
 
 class TestDatasetFiles:
@@ -280,6 +288,15 @@ class TestCliFit:
         path.write_text("{not json")
         assert main(["fit", str(path), "-m", "3", "--out", str(tmp_path / "m.json")]) == 3
 
+    @pytest.mark.parametrize("m", ("0", "1", "9"))
+    def test_target_dimension_out_of_range_is_usage_error(self, tmp_path, capsys, m):
+        # The data has p = 1 and n = 8, so m must be in [2, 8], as for shapes -m.
+        data_path = self._write_dataset(tmp_path)
+        out = tmp_path / "m.json"
+        assert main(["fit", str(data_path), "-m", m, "--out", str(out)]) == 2
+        assert "--m must be in [2, 8]" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestCliProjectReconstruct:
     def _fit(self, tmp_path):
@@ -354,24 +371,41 @@ class TestCliSynth:
             return counted
 
         for original in (g.frechet_mean, g.variance):
-            counted = counting(original)
-            for name, module in list(sys.modules.items()):
-                if name == "grassdr" or name.startswith("grassdr."):
-                    for attr, value in list(vars(module).items()):
-                        if value is original:
-                            monkeypatch.setattr(module, attr, counted)
+            replace_everywhere(monkeypatch, original, counting(original))
         argv = ["synth", "--preset", "table1", "--reps", "1", "--max-iter", "5", "--no-timing"]
         assert main(argv + ["--out", str(tmp_path / "t.csv")]) == 0
         assert calls == {"frechet_mean": 6, "variance": 6}
 
-    def test_runtimes_include_the_shared_mean(self, tmp_path, monkeypatch):
-        # The shared mean and variance are computed before any row's clock
-        # starts; each row that uses them still reports their cost.
-        def slow_reference(points):
-            time.sleep(0.2)
-            return g.dataset_reference(points)
+    def test_a_failing_mean_is_computed_once(self, tmp_path, monkeypatch):
+        # PGA and the five fits all report the error of one failed Karcher
+        # run on the dataset, where each used to run it again (7 runs).
+        calls = []
 
-        monkeypatch.setattr(cli_module, "dataset_reference", slow_reference)
+        def fail(points, *args, **kwargs):
+            calls.append(len(points))
+            raise ConvergenceError("no mean", result=points[0])
+
+        replace_everywhere(monkeypatch, g.frechet_mean, fail)
+        out = tmp_path / "t.csv"
+        assert main(["synth", "--preset", "table1", "--reps", "1", "--max-iter", "5", "--no-timing", "--out", str(out)]) == 0
+        assert calls == [50]
+        with open(out, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert sorted(r["method"] for r in rows) == ["ng"] * 5 + ["pga"] * 5
+        assert {r["status"] for r in rows} == {"error: no mean"}
+
+    def test_runtimes_include_the_shared_mean(self, tmp_path, monkeypatch):
+        # The dataset's own mean (n = 30; its projections have n <= 7) is
+        # computed before any row's clock starts; each row that uses it
+        # still reports its cost.
+        original = g.frechet_mean
+
+        def slow_dataset_mean(points, *args, **kwargs):
+            if points[0].n == 30:
+                time.sleep(0.2)
+            return original(points, *args, **kwargs)
+
+        replace_everywhere(monkeypatch, original, slow_dataset_mean)
         out = tmp_path / "t.csv"
         assert main(["synth", "--preset", "table1", "--reps", "1", "--max-iter", "2", "--out", str(out)]) == 0
         runtimes = [float(line.split(",")[6]) for line in out.read_text().strip().splitlines()[1:]]
@@ -394,6 +428,16 @@ class TestCliSynth:
         out = tmp_path / "x.csv"
         assert main(["synth", "--ambient-dim", "5", "--out", str(out)]) == 2
         assert "--planted-dim" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag,value", (
+        ("--num-points", "7"), ("--ambient-dim", "6"), ("--planted-dim", "3"), ("--subspace-dim", "2"),
+        ("--sigma", "5"), ("--fit-dim", "2"), ("--metric", "projection"),
+    ))
+    def test_custom_option_with_a_preset_is_usage_error(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "x.csv"
+        assert main(["synth", "--preset", "fig3", "--reps", "1", flag, value, "--out", str(out)]) == 2
+        assert flag in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("sigma", ("nan", "inf"))
@@ -494,6 +538,16 @@ class TestCliShapes:
         shapes_path = tmp_path / "shapes.csv"
         io.save_landmarks(shapes_path, shapes)
         assert main(["shapes", str(shapes_path), "-m", "3", "--supervised", "--out", str(tmp_path / "t.csv")]) == 2
+
+    @pytest.mark.parametrize("flag,value", (
+        ("--noise", "-1"), ("--noise", "nan"), ("--nuisance", "-1"), ("--nuisance", "inf"),
+        ("--deform", "nan"), ("--deform", "inf"),
+    ))
+    def test_bad_generator_scale_is_data_error(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "shapes.csv"
+        assert main(["synth-shapes", "--count", "6", "--landmarks", "8", flag, value, "--out", str(out)]) == 3
+        assert f"error: {flag[2:]} must be finite" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_single_shape_duplicated_zero_variance_error(self, tmp_path):
         rng = np.random.default_rng(15)

@@ -2,9 +2,7 @@ import numpy as np
 import pytest
 
 import grassdr as g
-import grassdr.nested as nested_module
 from grassdr.errors import (
-    ConvergenceError,
     DegenerateProjectionError,
     ShapeError,
     SupervisionDegenerateError,
@@ -459,58 +457,40 @@ class TestVariance:
 
 
     def test_given_mean_gives_the_same_results(self):
+        # A Dataset whose mean and variance are already computed hands them to
+        # later calls; each call returns exactly what it returns on a list.
         data = g.generate(g.SynthConfig(N=20, n=8, m=4, p=2, sigma=0.2, seed=38))
         pts = data.points
-        mu = g.frechet_mean(pts)
-        var = g.variance(pts, mean=mu)
-        assert var == g.variance(pts)
-        assert g.explained_variance_ratio(data.map, pts, dataset_variance=var) == g.explained_variance_ratio(data.map, pts)
+        ds = g.Dataset(pts)
+        assert np.array_equal(ds.mean.basis, g.frechet_mean(pts).basis)
+        assert ds.variance == g.variance(pts)
+        assert g.explained_variance_ratio(data.map, ds) == g.explained_variance_ratio(data.map, pts)
         config = g.OptimizerConfig(max_iter=20)
-        with_mean = g.fit_unsupervised(pts, 5, config=config, dataset_variance=var)
-        without = g.fit_unsupervised(pts, 5, config=config)
-        assert with_mean.explained_variance_ratio == without.explained_variance_ratio
-        assert with_mean.loss_trace == without.loss_trace
-
-    def test_dataset_reference_gives_the_same_results(self):
-        data = g.generate(g.SynthConfig(N=20, n=8, m=4, p=2, sigma=0.2, seed=38))
-        pts = data.points
-        mu, var = g.dataset_reference(pts)
-        assert mu.same_subspace(g.frechet_mean(pts))
-        assert var == g.variance(pts)
-        ratio = g.explained_variance_ratio(data.map, pts)
-        assert g.explained_variance_ratio(data.map, pts, dataset_variance=var) == ratio
-        config = g.OptimizerConfig(max_iter=20)
-        given = g.fit_unsupervised(pts, 5, config=config, dataset_variance=var)
+        given = g.fit_unsupervised(ds, 5, config=config)
         without = g.fit_unsupervised(pts, 5, config=config)
         assert given.explained_variance_ratio == without.explained_variance_ratio
         assert given.loss_trace == without.loss_trace
+
+    def test_dataset_reference_gives_the_same_results(self):
+        # A Dataset passed to several fits shares one Karcher mean and
+        # variance; each fit returns exactly what it returns on a plain list.
+        data = g.generate(g.SynthConfig(N=20, n=8, m=4, p=2, sigma=0.2, seed=38))
+        pts = data.points
+        ds = g.Dataset(pts)
         labels = [0, 1] * 10
-        given = g.fit_supervised(pts, labels, 5, config=config, dataset_variance=var)
-        without = g.fit_supervised(pts, labels, 5, config=config)
-        assert given.explained_variance_ratio == without.explained_variance_ratio
-
-    def test_dataset_reference_of_a_failing_mean(self, monkeypatch):
-        def fail(points):
-            raise ConvergenceError("no mean", result=points[0])
-
-        monkeypatch.setattr(nested_module, "frechet_mean", fail)
-        pts = random_dataset(np.random.default_rng(40), 6, 8, 2)
-        assert g.dataset_reference(pts) == (None, None)
-
-    @pytest.mark.parametrize("n,p,field", [(7, 2, "real"), (8, 1, "real"), (8, 2, "complex")])
-    def test_mismatched_mean_rejected(self, n, p, field):
-        rng = np.random.default_rng(39)
-        pts = random_dataset(rng, 6, 8, 2)
-        labels = [0, 1] * 3
-        wrong = g.sample_stiefel_uniform(n, p, field, rng=rng)
-        calls = [
-            lambda: g.variance(pts, mean=wrong),
-            lambda: g.pga_fit(pts, 2, mean=wrong),
-            lambda: g.spga_fit(pts, labels, 2, mean=wrong),
-        ]
-        for call in calls:
-            with pytest.raises(ShapeError, match="mean"):
-                call()
+        config = g.OptimizerConfig(max_iter=20)
+        for fit in (
+            lambda d: g.fit_unsupervised(d, 5, config=config),
+            lambda d: g.fit_supervised(d, labels, 5, config=config),
+        ):
+            on_ds, on_list = fit(ds), fit(pts)
+            assert on_ds.explained_variance_ratio == on_list.explained_variance_ratio
+            assert on_ds.loss_trace == on_list.loss_trace
+        for fit in (lambda d: g.pga_fit(d, 3), lambda d: g.spga_fit(d, labels, 3)):
+            on_ds, on_list = fit(ds), fit(pts)
+            assert np.array_equal(on_ds.mean.basis, on_list.mean.basis)
+            assert np.array_equal(on_ds.components, on_list.components)
+            assert np.array_equal(on_ds.component_variances, on_list.component_variances)
 
     def test_karcher_path_through_the_cut_locus(self):
         # The Karcher iteration on this fit's projected data passes within
