@@ -98,6 +98,7 @@ def cmd_fit(args) -> int:
             "explained_variance": report.explained_variance_ratio,
             "iterations": report.iterations,
             "converged": report.converged,
+            "grad_norm": report.grad_norm,
         }
         if args.timing:
             doc["wall_time_seconds"] = wall
@@ -214,12 +215,24 @@ def _rows_custom(rep: int, args, config) -> list[tuple]:
 PRESETS = {"fig3": _rows_fig3, "fig4": _rows_fig4, "table1": _rows_table1}
 
 
-def cmd_synth(args) -> int:
-    if args.preset is None and args.ambient_dim is None:
+def _check_custom_dims(args) -> None:
+    """Reject a custom run's missing or inconsistent dimensions before any data is generated."""
+    if args.ambient_dim is None:
         raise UsageError("choose a --preset or give explicit dimensions")
-    if args.preset is None and args.planted_dim is None:
+    if args.planted_dim is None:
         raise UsageError("a custom synth run needs --planted-dim as well as --ambient-dim")
-    if args.preset is not None:
+    n, m, p = args.ambient_dim, args.planted_dim, args.subspace_dim
+    if not 1 <= p <= m < n:
+        raise UsageError(f"need 1 <= --subspace-dim <= --planted-dim < --ambient-dim, got {p}, {m} and {n}")
+    fit_dim = m if args.fit_dim is None else args.fit_dim
+    if not p < fit_dim <= n:
+        raise UsageError(f"--fit-dim (default --planted-dim) must be in [{p + 1}, {n}] (p < m <= n), got {fit_dim}")
+
+
+def cmd_synth(args) -> int:
+    if args.preset is None:
+        _check_custom_dims(args)
+    else:
         for flag, default in CUSTOM_SYNTH_OPTIONS.items():
             if getattr(args, flag[2:].replace("-", "_")) != default:
                 raise UsageError(f"{flag} applies to a custom run only, not to --preset {args.preset}")

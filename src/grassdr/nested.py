@@ -14,6 +14,19 @@ metric sum(arccos(sqrt(lambda))^2). Differentiating that spectral
 function gives closed-form gradients for both losses under both metrics;
 ``optim.check_gradient`` compares them with central differences in the
 tests.
+
+Both losses work in the reduced coordinates Y_i = A^H X_i and never form an
+n x p matrix per point. In the unsupervised loss, with V_i = B-tilde^H X_i,
+c = A^H B-tilde and beta = B-tilde^H B-tilde, the reconstruction
+M_i = A A^H X_i + (I - A A^H) B-tilde enters only through
+S_i = M_i^H X_i = Y_i^H Y_i - c^H Y_i + V_i and, at orthonormal A,
+W_i = M_i^H M_i = Y_i^H Y_i - c^H c + beta. One GEMM [A B-tilde]^H [X_1 ... X_N]
+gives every Y_i and V_i, and one GEMM [X_1 ... X_N] [Y-bar | V-bar]^H returns
+the gradients, each of about n Np (m + p) multiply-adds; all other work is on
+m x p and p x p blocks. The gradient is exact for this function of any
+(A, B-tilde), which differs from the reconstruction loss off the Stiefel
+manifold, so at orthonormal A only its vertical part A A^H G_A, which the
+optimizer discards, differs from that of the n-dimensional form.
 """
 
 from __future__ import annotations
@@ -117,6 +130,7 @@ class FitReport:
     explained_variance_ratio: float
     iterations: int
     converged: bool
+    grad_norm: float  # Riemannian gradient norm at the returned point
 
 
 def embed_point(nmap: NestedMap, x: GrassmannPoint) -> GrassmannPoint:
@@ -206,49 +220,48 @@ def unsupervised_loss_and_grad(
 ) -> tuple[float, tuple[np.ndarray, np.ndarray]]:
     """Mean squared reconstruction distance and its Euclidean gradients.
 
-    Reconstruction of X_i uses span(M_i) with M_i = A A^H X_i + (I - A A^H)
-    B-tilde; the constraint A^H B = 0 is enforced by the nullspace
-    projector, so the loss is a smooth function of arbitrary (A, B-tilde).
-    With S_i = M_i^H X_i and W_i = M_i^H M_i, Phi_i = S_i^H W_i^{-1} S_i has
-    the squared reconstruction-angle cosines as its spectrum. Both metrics
-    have closed-form gradients in the convention dL = Re tr(G^H dM): the
-    projection metric through tr(Phi_i), the geodesic metric through the
-    spectral derivative of ``_geodesic_spectrum`` (non-smooth only where an
-    angle reaches pi/2).
+    Phi_i = S_i^H W_i^{-1} S_i, in the reduced coordinates of the module
+    docstring, has the squared cosines of the angles between X_i and its
+    reconstruction span(M_i) as its spectrum. The gradients follow
+    dL = Re tr(G^H dM) and are exact for any (A, B-tilde).
     """
     _check_metric(metric)
     a = np.asarray(a)
     b_tilde = np.asarray(b_tilde, dtype=a.dtype)
-    n_pts, _, p = stacked.shape
-    a_h = adjoint(a)
-
-    m_mat = a @ (a_h @ stacked) + (b_tilde - a @ (a_h @ b_tilde))
-    m_h = adjoint(m_mat)
-    winv = _checked_inverse(m_h @ m_mat, "reconstruction")
-    s_mat = m_h @ stacked
-    winv_s = winv @ s_mat
+    (n_pts, _, p), m = stacked.shape, a.shape[1]
+    ab_h = adjoint(np.concatenate((a, b_tilde), axis=1))
+    x_flat = _columns(stacked)
+    yv = (ab_h @ x_flat).reshape(m + p, n_pts, p).transpose(1, 0, 2)
+    y, gram = yv[:, :m], ab_h @ b_tilde
+    c, c_h = gram[:m], adjoint(gram[:m])
+    yy = adjoint(y) @ y
+    s_mat = yy - c_h @ y + yv[:, m:]  # S_i = Y_i^H Y_i - c^H Y_i + V_i, W_i = Y_i^H Y_i - c^H c + beta
+    winv_s = _checked_inverse(yy + (gram[m:] - c_h @ c), "reconstruction") @ s_mat
     if metric == "projection":
         # Loss p - tr(Phi_i), so dL/dPhi_i = -I.
         values = np.maximum(p - np.einsum("ipq,ipq->i", np.conj(s_mat), winv_s).real, 0.0)
-        e_mat = -adjoint(winv_s)
+        t = -winv_s
     else:
         phi = adjoint(s_mat) @ winv_s
         values, psi = _geodesic_spectrum(0.5 * (phi + adjoint(phi)))
-        e_mat = psi @ adjoint(winv_s)
+        t = winv_s @ psi
     loss = float(values.sum()) / n_pts
 
-    # dL/dM_i = (2/N) (I - Pi_i) X_i Psi_i X_i^H M_i W_i^{-1}
-    f_mat = stacked @ e_mat
-    g_m = (2.0 / n_pts) * (f_mat - m_mat @ (winv @ (m_h @ f_mat)))
-
-    # G_A = sum_i [ G_i (D_i^H A) + D_i (G_i^H A) ],  D_i = X_i - B-tilde,
-    # as four GEMMs over the column-concatenated n x Np blocks.
-    g_flat = _columns(g_m)
-    d_flat = _columns(stacked - b_tilde)
-    g_a = g_flat @ (adjoint(d_flat) @ a) + d_flat @ (adjoint(g_flat) @ a)
-    g_sum = g_m.sum(axis=0)
-    g_b = g_sum - a @ (a_h @ g_sum)
-    return loss, (g_a, g_b)
+    # With T_i = W_i^{-1} S_i Psi_i: dL/dS_i = 2 T_i / N, dL/dW_i = -T_i (W_i^{-1} S_i)^H / N.
+    s_bar = (2.0 / n_pts) * t
+    w_bar = (-1.0 / n_pts) * (t @ adjoint(winv_s))
+    beta_bar = w_bar.sum(axis=0)
+    # Columns [Y-bar_i; V-bar_i]: V-bar_i = dL/dS_i, Y-bar_i = Y_i (S-bar_i^H + S-bar_i + 2 W-bar_i) - c S-bar_i.
+    bars = np.empty((m + p, n_pts, p), dtype=yv.dtype)
+    bars[m:] = s_bar.transpose(1, 0, 2)
+    np.matmul(y, adjoint(s_bar) + s_bar + 2.0 * w_bar, out=bars[:m].transpose(1, 0, 2))
+    bars = bars.reshape(m + p, -1)
+    bars[:m] -= c @ bars[m:]
+    # G_A = X Y-bar^H + B-tilde c-bar^H, G_B = X V-bar^H + A c-bar + 2 B-tilde beta-bar, with
+    # c-bar = -sum_i Y_i S-bar_i^H - 2 c beta-bar and sum_i Y_i S-bar_i^H = A^H X V-bar^H.
+    g_ab = x_flat @ adjoint(bars)
+    c_bar = -(adjoint(a) @ g_ab[:, m:]) - 2.0 * (c @ beta_bar)
+    return loss, (g_ab[:, :m] + b_tilde @ adjoint(c_bar), g_ab[:, m:] + a @ c_bar + 2.0 * (b_tilde @ beta_bar))
 
 
 def build_affinity(labels, distances: np.ndarray, k_w: int = 5, k_b: int = 5) -> np.ndarray:
@@ -418,7 +431,7 @@ def fit_unsupervised(
     best = _best_of_restarts(loss, ds.stacked, m, p, config, rng, restarts)
     nmap = NestedMap.from_unprojected(best.point.A, best.point.B)
     ratio = explained_variance_ratio(nmap, ds)
-    return FitReport(nmap, best.loss_trace, ratio, best.iterations, best.converged)
+    return FitReport(nmap, best.loss_trace, ratio, best.iterations, best.converged, best.grad_norm)
 
 
 def fit_supervised(
@@ -458,7 +471,7 @@ def fit_supervised(
     best = _best_of_restarts(loss, stacked, m, 0, config, rng, restarts)
     nmap = NestedMap(best.point.A, np.zeros((n, p), dtype=stacked.dtype))
     ratio = explained_variance_ratio(nmap, ds)
-    return FitReport(nmap, best.loss_trace, ratio, best.iterations, best.converged)
+    return FitReport(nmap, best.loss_trace, ratio, best.iterations, best.converged, best.grad_norm)
 
 
 def nested_sequence(

@@ -11,8 +11,8 @@ it changes as ``file row column: old -> new``. Run that way, the module
 pins OpenBLAS to one thread before numpy loads, so that regenerated files
 come from one fixed floating-point order whatever the machine's default.
 The ``..._does_not_depend_on_the_thread_count`` tests run the supervised
-shapes pipeline and the fig3 and table1 presets at one and two OpenBLAS
-threads and compare.
+shapes pipeline, the fig3, fig4 and table1 presets and the custom synth run
+at one and two OpenBLAS threads and compare.
 """
 
 from __future__ import annotations
@@ -154,7 +154,7 @@ def test_shapes_output_does_not_depend_on_the_thread_count(workdir):
     _compare_csv(*_outputs_at_one_and_two_threads(workdir, name, argv))
 
 
-@pytest.mark.parametrize("name", ("fig3.csv", "table1.csv"))
+@pytest.mark.parametrize("name", ("fig3.csv", "fig4.csv", "table1.csv", "custom.csv"))
 def test_synth_output_does_not_depend_on_the_thread_count(workdir, name):
     _compare_csv(*_outputs_at_one_and_two_threads(workdir, name, dict(RUNS)[name]))
 

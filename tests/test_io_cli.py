@@ -264,6 +264,20 @@ class TestCliFit:
         assert report["final_loss"] < 1e-6
         assert report["converged"] is True
 
+    def test_report_carries_the_gradient_norm(self, tmp_path):
+        data_path = self._write_dataset(tmp_path, b_std=0.1, sigma=0.2)
+        report_path = tmp_path / "report.json"
+        base = ["fit", str(data_path), "-m", "3", "--out", str(tmp_path / "m.json"), "--report", str(report_path)]
+        assert main(base + ["--grad-tol", "1e-5"]) == 0
+        report = json.loads(report_path.read_text())
+        assert report["converged"] is True
+        assert 0.0 <= report["grad_norm"] <= 1e-5
+        # Stopped at max_iter, the report shows how far from the tolerance the fit was.
+        assert main(base + ["--grad-tol", "1e-12", "--max-iter", "1"]) == 4
+        report = json.loads(report_path.read_text())
+        assert report["converged"] is False
+        assert report["grad_norm"] > 1e-12
+
     def test_saved_model_reevaluates_identically(self, tmp_path):
         data_path = self._write_dataset(tmp_path, b_std=0.1, sigma=0.4)
         model_path = tmp_path / "model.json"
@@ -429,6 +443,32 @@ class TestCliSynth:
         assert main(["synth", "--ambient-dim", "5", "--out", str(out)]) == 2
         assert "--planted-dim" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("fit_dim", ("9", "3", "0"))
+    def test_fit_dim_out_of_range_is_usage_error(self, tmp_path, capsys, fit_dim):
+        # p = 3 and n = 6, so the fit dimension must be in [4, 6].
+        out = tmp_path / "x.csv"
+        argv = ["synth", "--ambient-dim", "6", "--planted-dim", "4", "--subspace-dim", "3", "--fit-dim", fit_dim]
+        assert main(argv + ["--reps", "1", "--out", str(out)]) == 2
+        assert f"--fit-dim (default --planted-dim) must be in [4, 6] (p < m <= n), got {fit_dim}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("planted,subspace", (("6", "1"), ("7", "1"), ("1", "2"), ("0", "1"), ("3", "0")))
+    def test_planted_dim_out_of_range_is_usage_error(self, tmp_path, capsys, planted, subspace):
+        out = tmp_path / "x.csv"
+        argv = ["synth", "--ambient-dim", "6", "--planted-dim", planted, "--subspace-dim", subspace]
+        assert main(argv + ["--reps", "1", "--out", str(out)]) == 2
+        assert "need 1 <= --subspace-dim <= --planted-dim < --ambient-dim" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_default_fit_dim_must_exceed_the_subspace_dim(self, tmp_path, capsys):
+        # --planted-dim 2 = --subspace-dim is a valid generator, but the fit defaults to m = 2 = p.
+        out = tmp_path / "x.csv"
+        argv = ["synth", "--ambient-dim", "6", "--planted-dim", "2", "--subspace-dim", "2", "--reps", "1"]
+        assert main(argv + ["--out", str(out)]) == 2
+        assert "--fit-dim (default --planted-dim)" in capsys.readouterr().err
+        assert not out.exists()
+        assert main(argv + ["--fit-dim", "3", "--max-iter", "5", "--no-timing", "--out", str(out)]) == 0
 
     @pytest.mark.parametrize("flag,value", (
         ("--num-points", "7"), ("--ambient-dim", "6"), ("--planted-dim", "3"), ("--subspace-dim", "2"),

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -168,6 +170,61 @@ class TestUnsupervisedLoss:
         for metric, dist in (("projection", g.projection_distance), ("geodesic", g.geodesic_distance)):
             loss, _ = unsupervised_loss_and_grad(nmap.A, nmap.B, x.basis[None], metric)
             assert loss == pytest.approx(dist(x, xhat) ** 2, abs=1e-10)
+
+    @pytest.mark.parametrize("field", ("real", "complex"))
+    @pytest.mark.parametrize("p", (1, 2))
+    def test_multi_point_cross_module_oracle(self, field, p):
+        # The reconstruction of X_i is span(A A^H X_i + B) with B = (I - A A^H) B-tilde;
+        # a Gaussian B-tilde also has a component in span(A), so c = A^H B-tilde is nonzero.
+        rng = np.random.default_rng(17)
+        n, m = 9, 4
+        a = g.sample_stiefel_uniform(n, m, field, rng=rng).basis
+        bt = 0.3 * rng.standard_normal((n, p)).astype(a.dtype)
+        if field == "complex":
+            bt += 0.3j * rng.standard_normal((n, p))
+        nmap = NestedMap.from_unprojected(a, bt)
+        pts = random_dataset(rng, 30, n, p, field)
+        stacked = stack_points(pts)
+        rebuilt = [g.orthonormalize(a @ (adjoint(a) @ x.basis) + nmap.B) for x in pts]
+        for metric, dist in (("projection", g.projection_distance), ("geodesic", g.geodesic_distance)):
+            loss, _ = unsupervised_loss_and_grad(a, bt, stacked, metric)
+            expected = np.mean([dist(x, xhat) ** 2 for x, xhat in zip(pts, rebuilt)])
+            assert loss == pytest.approx(expected, abs=1e-10)
+            # With B = 0 the reconstruction is reconstruct_point's.
+            loss, _ = unsupervised_loss_and_grad(a, np.zeros_like(bt), stacked, metric)
+            plain = NestedMap(a, np.zeros_like(bt))
+            expected = np.mean([dist(x, g.reconstruct_point(plain, x)) ** 2 for x in pts])
+            assert loss == pytest.approx(expected, abs=1e-10)
+
+    @pytest.mark.parametrize("metric", ("projection", "geodesic"))
+    @pytest.mark.parametrize("p", (1, 2))
+    def test_point_orthogonal_to_the_range_is_named(self, metric, p):
+        rng = np.random.default_rng(18)
+        n, m = 7, 3
+        a = np.eye(n)[:, :m]
+        pts = random_dataset(rng, 6, n, p)
+        pts[4] = g.GrassmannPoint(np.eye(n)[:, m:m + p])  # A^H X_4 = 0 and B = 0: W_4 = 0
+        with pytest.raises(DegenerateProjectionError) as info:
+            unsupervised_loss_and_grad(a, np.zeros((n, p)), stack_points(pts), metric)
+        assert info.value.index == 4
+        assert "data point 4" in str(info.value)
+
+    @pytest.mark.parametrize("metric", ("projection", "geodesic"))
+    def test_one_call_allocates_about_one_copy_of_the_data(self, metric):
+        # At the shapes-large size (N = 1000 shapes, n = 49, m = 11, p = 1, complex) every
+        # per-point block is m x p or p x p, so no (N, n, p) temporary is made.
+        rng = np.random.default_rng(19)
+        stacked = stack_points(random_dataset(rng, 1000, 49, 1, "complex"))
+        nmap = random_map(rng, 49, 11, 1, "complex")
+        unsupervised_loss_and_grad(nmap.A, nmap.B, stacked, metric)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            unsupervised_loss_and_grad(nmap.A, nmap.B, stacked, metric)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * stacked.nbytes
 
     def test_projection_below_geodesic(self):
         rng = np.random.default_rng(13)
