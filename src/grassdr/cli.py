@@ -20,7 +20,7 @@ from .baselines import gknn_loo, knn_loo_from_distances, pga_coordinates, pga_ex
 from .datagen import SynthConfig, generate, two_class_shapes
 from .errors import ConvergenceError, GrassdrError
 from .geometry import Dataset
-from .nested import fit_supervised, fit_unsupervised, project_dataset, reconstruct_point
+from .nested import embed_point, fit_supervised, fit_unsupervised, project_dataset
 from .optim import OptimizerConfig
 from .shape import kads_to_grassmann
 
@@ -60,7 +60,6 @@ def cmd_fit(args) -> int:
     points, labels = io.load_dataset(args.dataset)
     if args.supervised and labels is None:
         raise UsageError("--supervised requires a labeled dataset")
-    points = Dataset(points)
     n, p = points.stacked.shape[1:]
     if not p < args.m <= n:
         raise UsageError(f"--m must be in [{p + 1}, {n}] (p < m <= n), got {args.m}")
@@ -112,16 +111,10 @@ def cmd_fit(args) -> int:
 def cmd_project(args) -> int:
     nmap, _ = io.load_model(args.model)
     points, labels = io.load_dataset(args.dataset)
-    projected = project_dataset(nmap, points)
-    io.save_dataset(args.out, projected, labels)
-    return EXIT_OK
-
-
-def cmd_reconstruct(args) -> int:
-    nmap, _ = io.load_model(args.model)
-    points, labels = io.load_dataset(args.dataset)
-    rebuilt = [reconstruct_point(nmap, pt) for pt in points]
-    io.save_dataset(args.out, rebuilt, labels)
+    out = project_dataset(nmap, points)
+    if args.command == "reconstruct":
+        out = [embed_point(nmap, z) for z in out]
+    io.save_dataset(args.out, out, labels)
     return EXIT_OK
 
 
@@ -135,12 +128,12 @@ def _rep_seed(seed: int, rep: int) -> int:
 
 
 def _synth_dataset(**config) -> tuple[Dataset, float]:
-    """``generate(SynthConfig(**config))`` as a Dataset, and the seconds its Karcher mean and variance took.
+    """The Dataset ``generate(SynthConfig(**config)).points``, and the seconds its Karcher mean and variance took.
 
     Each row that uses the mean adds those seconds to its runtime, so it
     reports its fit's cost end to end; a failed mean is each such row's error.
     """
-    ds = Dataset(generate(SynthConfig(**config)).points)
+    ds = generate(SynthConfig(**config)).points
     start = time.perf_counter()
     with contextlib.suppress(ConvergenceError):
         ds.variance
@@ -275,7 +268,7 @@ def cmd_shapes(args) -> int:
     if labels is not None and args.knn > len(shapes) - 1:
         raise UsageError(f"--knn must be at most {len(shapes) - 1} (the number of other shapes), got {args.knn}")
     points = Dataset(kads_to_grassmann(s) for s in shapes)
-    ambient = points[0].n
+    ambient = points.stacked.shape[1]
     fit_dim = args.m + 1  # reduce Gr(1, k-1) to Gr(1, m+1): manifold dimension m
     if not 1 < fit_dim <= ambient:
         raise UsageError(f"--m must be in [1, {ambient - 1}], got {args.m}")
@@ -361,12 +354,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common_fit_options(fit)
     fit.set_defaults(func=cmd_fit)
 
-    for name, func in (("project", cmd_project), ("reconstruct", cmd_reconstruct)):
+    for name in ("project", "reconstruct"):
         sub = subs.add_parser(name, help=f"{name} a dataset through a fitted model")
         sub.add_argument("model")
         sub.add_argument("dataset")
         sub.add_argument("--out", required=True)
-        sub.set_defaults(func=func)
+        sub.set_defaults(func=cmd_project)
 
     synth = subs.add_parser("synth", help="run the synthetic-data protocol and emit a tidy CSV")
     synth.add_argument("--preset", choices=tuple(PRESETS), default=None)

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import ShapeError
 from .geometry import (
-    GrassmannPoint,
+    Dataset,
     _exp_basis,
     adjoint,
     orthonormal_columns,
@@ -54,9 +54,9 @@ class SynthConfig:
 class SyntheticData:
     """Generated dataset plus the planting map and coordinates."""
 
-    points: list[GrassmannPoint]
+    points: Dataset
     map: NestedMap
-    planted: list[GrassmannPoint]  # the low-dimensional coordinates Z_i in Gr(p, m)
+    planted: Dataset  # the low-dimensional coordinates Z_i in Gr(p, m)
 
 
 def generate(config: SynthConfig) -> SyntheticData:
@@ -71,7 +71,8 @@ def generate(config: SynthConfig) -> SyntheticData:
     After A and B-tilde, one (N, m p + n p) Gaussian block holds row i =
     [Z_i draw, U_i draw] (only the Z_i part when sigma = 0), which is the
     order of drawing point by point, and the whole dataset is built as an
-    (N, n, p) stack with no per-point loop. A rank-deficient Z_i draw
+    (N, n, p) stack with no per-point loop; ``points`` and ``planted`` are
+    Datasets over those stacks. A rank-deficient Z_i draw
     (probability zero) raises DegenerateInputError instead of being redrawn.
     """
     n, m, p, sigma = config.n, config.m, config.p, config.sigma
@@ -92,7 +93,7 @@ def generate(config: SynthConfig) -> SyntheticData:
         flat = direction.reshape(-1, 1, n * p)
         h = sigma * (direction / np.sqrt(flat @ adjoint(flat)))
         points = _exp_basis(base, h - base @ (adjoint(base) @ h))
-    return SyntheticData(list(map(GrassmannPoint, points)), nmap, list(map(GrassmannPoint, z)))
+    return SyntheticData(Dataset(points), nmap, Dataset(z))
 
 
 def two_class_shapes(

@@ -8,9 +8,9 @@ share one code path.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -62,12 +62,28 @@ def _as_matrix(m, name: str = "matrix", stack: bool = False) -> np.ndarray:
     return a.astype(dtype, copy=False)
 
 
-def check_orthonormal(a: np.ndarray, atol: float, error: type[Exception], message: str, *args) -> float:
-    """max |A^H A - I| of ``a``; above ``atol``, or NaN, raises ``error(message.format(drift=...), *args)``."""
-    drift = float(np.abs(adjoint(a) @ a - np.eye(a.shape[1])).max())
-    if not drift <= atol:
-        raise error(message.format(drift=drift), *args)
-    return drift
+def check_orthonormal(a: np.ndarray, atol: float, error: type[Exception], message: str, *args) -> float | np.ndarray:
+    """max |A^H A - I| of a matrix ``a``, or the (N,) values of an (N, n, p) stack.
+
+    A value above ``atol``, or NaN, raises ``error(message.format(drift=...), *args)``; in a stack the
+    message names the first such point i as ``point i: ...``.
+    """
+    drift = np.abs(adjoint(a) @ a - np.eye(a.shape[-1])).max(axis=(-2, -1))
+    bad = np.flatnonzero(~(drift <= atol))
+    if bad.size:
+        text = message.format(drift=float(drift.flat[bad[0]]))
+        raise error(f"point {bad[0]}: {text}" if a.ndim > 2 else text, *args)
+    return drift if a.ndim > 2 else float(drift)
+
+
+def _checked_bases(m, ndim: int) -> np.ndarray:
+    """A read-only copy of one n x p basis (``ndim`` 2) or of a non-empty (N, n, p) stack (3), checked."""
+    b = _as_matrix(m, "basis", stack=True).copy()
+    if b.ndim != ndim or not b.size or not 1 <= b.shape[-1] <= b.shape[-2]:
+        raise ShapeError(f"need {ndim} axes, a nonzero size and 1 <= p <= n, got basis shape {b.shape}")
+    check_orthonormal(b, ORTHONORMAL_ATOL, DegenerateInputError, "basis is not orthonormal; use orthonormalize() first")
+    b.setflags(write=False)
+    return b
 
 
 @dataclass(frozen=True, eq=False)
@@ -77,15 +93,7 @@ class GrassmannPoint:
     basis: np.ndarray
 
     def __post_init__(self):
-        b = _as_matrix(self.basis, "basis").copy()
-        n, p = b.shape
-        if not 1 <= p <= n:
-            raise ShapeError(f"need 1 <= p <= n, got basis shape {(n, p)}")
-        check_orthonormal(
-            b, ORTHONORMAL_ATOL, DegenerateInputError, "basis columns are not orthonormal; use orthonormalize() first"
-        )
-        b.setflags(write=False)
-        object.__setattr__(self, "basis", b)
+        object.__setattr__(self, "basis", _checked_bases(self.basis, 2))
 
     @property
     def n(self) -> int:
@@ -382,24 +390,27 @@ def variance(points: Sequence[GrassmannPoint]) -> float:
     return float((_angles_from_cosines(s) ** 2).sum(axis=-1).mean())
 
 
-class Dataset(tuple):
-    """An immutable dataset of GrassmannPoints on one Gr(p, n) over one field.
+class Dataset(Sequence):
+    """An immutable dataset on one Gr(p, n) over one field, held as the read-only (N, n, p) ``stacked``.
 
-    The points are checked and stacked once, into the read-only (N, n, p)
-    ``stacked``. The Karcher mean and Frechet variance are computed on first
-    use and kept, so all fits and ratios on one Dataset share them; a mean
-    that fails to converge raises its ConvergenceError again on every use.
+    Built from such a stack (copied) or from GrassmannPoints (``stack_points``) and checked once, as a whole.
+    Indexing (by an integer) and iteration make a GrassmannPoint only for the point asked for. The Karcher
+    mean and Frechet variance are computed on first use and kept, so all fits and ratios on one Dataset share
+    them; a mean that fails to converge raises its ConvergenceError again on every use.
     """
 
-    def __new__(cls, points: Iterable[GrassmannPoint]) -> "Dataset":
-        ds = super().__new__(cls, points)
-        stacked = stack_points(ds)
-        stacked.setflags(write=False)
-        ds.__dict__["stacked"] = stacked
-        return ds
+    def __init__(self, points: np.ndarray | Iterable[GrassmannPoint]):
+        stack = points if isinstance(points, np.ndarray) else stack_points(list(points))
+        self.__dict__["stacked"] = _checked_bases(stack, 3)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"a Dataset is immutable; cannot set {name!r}")
+
+    def __len__(self) -> int:
+        return len(self.stacked)
+
+    def __getitem__(self, index: int) -> GrassmannPoint:
+        return GrassmannPoint(self.stacked[index])
 
     @cached_property
     def _mean(self) -> GrassmannPoint | ConvergenceError:
@@ -422,5 +433,5 @@ class Dataset(tuple):
 
 
 def as_dataset(points: Sequence[GrassmannPoint]) -> Dataset:
-    """``points`` as a Dataset: a Dataset unchanged, any other sequence checked and stacked."""
+    """``points`` as a Dataset: a Dataset unchanged, an (N, n, p) array or any other sequence checked and stacked."""
     return points if isinstance(points, Dataset) else Dataset(points)

@@ -17,12 +17,12 @@ from typing import Sequence
 import numpy as np
 
 from .errors import FormatError
-from .geometry import GrassmannPoint, check_orthonormal, orthonormal_columns
+from .geometry import Dataset, GrassmannPoint, as_dataset, check_orthonormal, orthonormal_columns
 from .nested import NestedMap
 from .shape import KAds
 
-# Stored bases drifting beyond construction tolerance but at most this far
-# from orthonormality are re-orthonormalized on load; beyond it they are rejected.
+# Stored bases drifting more than 1e-11 but at most this far from orthonormality
+# are re-orthonormalized on load; beyond it they are rejected.
 LOAD_DRIFT_LIMIT = 1e-6
 
 
@@ -72,23 +72,15 @@ def _check_header(doc, where: str, counts: Sequence[str], lists: Sequence[str]) 
             raise FormatError(f"{key!r} must be a list", where)
 
 
-def _restore_basis(mat: np.ndarray, where: str) -> GrassmannPoint:
-    message = "stored basis is not orthonormal (drift {drift:.3e})"
-    drift = check_orthonormal(mat, LOAD_DRIFT_LIMIT, FormatError, message, where)
-    if drift > 1e-11:
-        mat = orthonormal_columns(mat)
-    return GrassmannPoint(mat)
-
-
 def save_dataset(path, points: Sequence[GrassmannPoint], labels=None) -> None:
-    first = points[0]
+    stacked = as_dataset(points).stacked
     doc = {
-        "field": first.field,
-        "n": first.n,
-        "p": first.p,
-        "N": len(points),
+        "field": "complex" if np.iscomplexobj(stacked) else "real",
+        "n": stacked.shape[1],
+        "p": stacked.shape[2],
+        "N": len(stacked),
         "labels": None if labels is None else [_jsonable_label(v) for v in labels],
-        "points": [_encode_matrix(pt.basis) for pt in points],
+        "points": [_encode_matrix(mat) for mat in stacked],
     }
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh)
@@ -100,22 +92,25 @@ def _jsonable_label(v):
     return str(v)
 
 
-def load_dataset(path) -> tuple[list[GrassmannPoint], np.ndarray | None]:
+def load_dataset(path) -> tuple[Dataset, np.ndarray | None]:
+    """The file's points as a Dataset, and its labels; only drifted bases (see LOAD_DRIFT_LIMIT) change."""
     doc = _load_json(path)
     where = str(path)
     _check_header(doc, where, ("n", "p", "N"), ("points",))
     field = doc["field"]
-    if not 1 <= doc["p"] <= doc["n"]:
-        raise FormatError(f"need 1 <= p <= n, got p = {doc['p']}, n = {doc['n']}", where)
+    if not (1 <= doc["p"] <= doc["n"] and doc["N"]):
+        raise FormatError(f"need N >= 1 and 1 <= p <= n, got N = {doc['N']}, p = {doc['p']}, n = {doc['n']}", where)
     if len(doc["points"]) != doc["N"]:
         raise FormatError(f"N = {doc['N']} but {len(doc['points'])} points stored", where)
-    points = []
-    for i, rec in enumerate(doc["points"]):
-        mat = _decode_matrix(rec, field, f"{where}: point {i}")
+    mats = [_decode_matrix(rec, field, f"{where}: point {i}") for i, rec in enumerate(doc["points"])]
+    for i, mat in enumerate(mats):
         if mat.shape != (doc["n"], doc["p"]):
             raise FormatError(f"point {i} has shape {mat.shape}, expected {(doc['n'], doc['p'])}", where)
-        points.append(_restore_basis(mat, f"{where}: point {i}"))
-    return points, _labels(doc, doc["N"], where)
+    stacked = np.array(mats)
+    message = "stored basis is not orthonormal (drift {drift:.3e})"
+    drifted = check_orthonormal(stacked, LOAD_DRIFT_LIMIT, FormatError, message, where) > 1e-11
+    stacked[drifted] = orthonormal_columns(stacked[drifted])
+    return Dataset(stacked), _labels(doc, doc["N"], where)
 
 
 def _labels(doc: dict, count: int, where: str) -> np.ndarray | None:

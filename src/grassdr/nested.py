@@ -47,6 +47,7 @@ from .errors import (
 )
 from .geometry import (
     ORTHONORMAL_ATOL,
+    Dataset,
     GrassmannPoint,
     _canonical_qr,
     _columns,
@@ -141,37 +142,32 @@ def embed_point(nmap: NestedMap, x: GrassmannPoint) -> GrassmannPoint:
 
 
 def project_point(nmap: NestedMap, x: GrassmannPoint) -> GrassmannPoint:
-    """Map a point of Gr(p, n) to Gr(p, m): span(A^H X)."""
-    if x.n != nmap.n or x.p != nmap.p or x.field != nmap.field:
-        raise ShapeError(f"point {x!r} does not match map dims (n={nmap.n}, p={nmap.p})")
-    try:
-        return orthonormalize(adjoint(nmap.A) @ x.basis)
-    except DegenerateInputError as exc:
-        raise DegenerateProjectionError(
-            f"subspace nearly orthogonal to span(A): {exc}"
-        ) from exc
+    """Map a point of Gr(p, n) to Gr(p, m): span(A^H X), as ``project_dataset`` of one point."""
+    return project_dataset(nmap, [x])[0]
 
 
 def reconstruct_point(nmap: NestedMap, x: GrassmannPoint) -> GrassmannPoint:
-    """Reconstruction in Gr(p, n): embed the projection of ``x``.
+    """Reconstruction in Gr(p, n): span(A Q + B), embedding the canonical basis Q of span(A^H X).
 
-    Fixes every point of the embedded submanifold exactly and is idempotent.
+    Fixes every point of the embedded submanifold exactly and is idempotent. It is not the reconstruction
+    span(A A^H X + B) = span(A Q R + B) that the unsupervised loss measures: whenever B != 0 the two differ,
+    so a fitted model's ``reconstruct_point`` is not the fit's optimum.
     """
     return embed_point(nmap, project_point(nmap, x))
 
 
-def project_dataset(nmap: NestedMap, points: Sequence[GrassmannPoint]) -> list[GrassmannPoint]:
-    """Project many points at once; errors name the offending data index."""
+def project_dataset(nmap: NestedMap, points: Sequence[GrassmannPoint]) -> Dataset:
+    """Project many points at once, span(A^H X_i), as a Dataset; errors name the offending data index."""
     stacked = as_dataset(points).stacked
-    if stacked.shape[1] != nmap.n or stacked.shape[2] != nmap.p:
-        raise ShapeError("dataset dims do not match the map")
+    dims = (*stacked.shape[1:], "complex" if np.iscomplexobj(stacked) else "real")
+    if dims != (nmap.n, nmap.p, nmap.field):
+        raise ShapeError(f"data of (n, p, field) {dims} do not match the map's {nmap.n, nmap.p, nmap.field}")
     try:
         q = orthonormal_columns(adjoint(nmap.A) @ stacked)
     except DegenerateInputError as exc:
-        raise DegenerateProjectionError(
-            f"data point {exc.index}: subspace nearly orthogonal to span(A)", index=exc.index
-        ) from exc
-    return [GrassmannPoint(q[i]) for i in range(q.shape[0])]
+        message = f"data point {exc.index}: subspace nearly orthogonal to span(A)"
+        raise DegenerateProjectionError(message, index=exc.index) from exc
+    return Dataset(q)
 
 
 # ---------------------------------------------------------------------------
@@ -418,7 +414,10 @@ def fit_unsupervised(
     Optimizes over span(A) in Gr(m, n) and an unconstrained B-tilde; the
     returned map stores B = (I - A A^H) B-tilde. A is initialized from the
     m leading left singular vectors of the column-stacked data; additional
-    restarts (seeded by ``rng``) keep the best final loss.
+    restarts (seeded by ``rng``) keep the best final loss. With B != 0 the loss
+    depends on the bases, not only the subspaces: span(A A^H X_i + B) moves when
+    X_i becomes X_i Q_i (for p = 1, a sign flip), and so may the fit. Permuting
+    the points, or mapping them all by one ambient unitary, changes nothing.
     """
     _check_metric(metric)
     ds = as_dataset(dataset)

@@ -55,9 +55,9 @@ class TestGenerate:
         points, nmap, planted = _generate_loop(config)
         assert np.abs(data.map.A - nmap.A).max() < 1e-12
         assert np.abs(data.map.B - nmap.B).max() < 1e-12
-        for got, want in zip(data.points + data.planted, points + planted, strict=True):
-            assert isinstance(got, g.GrassmannPoint)
-            assert np.abs(got.basis - want.basis).max() < 1e-12
+        for got, want in ((data.points, points), (data.planted, planted)):
+            assert isinstance(got, g.Dataset)
+            assert np.abs(got.stacked - g.stack_points(want)).max() < 1e-12
 
     def test_sigma_zero_on_submanifold(self):
         data = g.generate(g.SynthConfig(N=25, n=10, m=3, p=1, sigma=0.0, seed=0))

@@ -398,7 +398,7 @@ class TestDataset:
         pts = [random_point(rng, 5, 2) for _ in range(4)]
         ds = g.Dataset(pts)
         assert g.as_dataset(ds) is ds
-        assert list(ds) == pts
+        assert len(ds) == 4 and all(np.array_equal(a.basis, b.basis) for a, b in zip(ds, pts, strict=True))
         assert np.array_equal(ds.stacked, g.stack_points(pts))
         assert not ds.stacked.flags.writeable
         with pytest.raises(AttributeError):
@@ -408,6 +408,39 @@ class TestDataset:
                 g.Dataset(pts + [other])
         with pytest.raises(ShapeError):
             g.Dataset([])
+
+    @pytest.mark.parametrize("field", FIELDS)
+    def test_stack_and_points_agree_bit_for_bit(self, field):
+        rng = np.random.default_rng(31)
+        pts = [random_point(rng, 6, 2, field) for _ in range(5)]
+        stack = g.stack_points(pts)
+        from_stack, from_points = g.Dataset(stack), g.Dataset(pts)
+        assert from_stack.stacked.tobytes() == from_points.stacked.tobytes() == stack.tobytes()
+        assert from_stack.stacked.dtype == stack.dtype
+        for i, pt in enumerate(from_stack):
+            assert isinstance(pt, g.GrassmannPoint)
+            assert np.array_equal(pt.basis, stack[i])
+            assert np.array_equal(from_stack[i].basis, stack[i])
+        assert np.array_equal(from_stack[-1].basis, stack[-1])
+        stack[0] = 0.0  # the Dataset holds its own copy
+        assert np.array_equal(from_stack.stacked[0], pts[0].basis)
+        with pytest.raises(IndexError):
+            from_stack[5]
+
+    def test_non_orthonormal_row_names_its_index(self):
+        rng = np.random.default_rng(32)
+        stack = g.stack_points([random_point(rng, 5, 2) for _ in range(4)])
+        stack[2, 0, 0] += 1e-6
+        with pytest.raises(DegenerateInputError, match="point 2: basis is not orthonormal"):
+            g.Dataset(stack)
+        stack[2] = np.nan
+        with pytest.raises(DegenerateInputError, match="point 2"):
+            g.Dataset(stack)
+
+    @pytest.mark.parametrize("shape", [(5, 2), (0, 5, 2), (3, 2, 5), (2, 3, 5, 2)])
+    def test_stack_shape_checked(self, shape):
+        with pytest.raises(ShapeError):
+            g.Dataset(np.zeros(shape))
 
     def test_mean_is_kept_and_matches_the_functions(self):
         rng = np.random.default_rng(30)

@@ -51,7 +51,10 @@ class TestDatasetFiles:
         doc["points"][0][0][0] += 1e-8
         path.write_text(json.dumps(doc))
         loaded, _ = io.load_dataset(path)
+        assert isinstance(loaded, g.Dataset)
         assert g.GrassmannPoint(loaded[0].basis)  # orthonormality restored
+        assert not np.array_equal(loaded.stacked[0], np.asarray(doc["points"][0]))
+        assert loaded.stacked[1].tobytes() == pts[1].basis.tobytes()  # an undrifted point keeps its bytes
 
     def test_large_drift_rejected(self, tmp_path):
         rng = np.random.default_rng(2)
@@ -61,7 +64,7 @@ class TestDatasetFiles:
         doc = json.loads(path.read_text())
         doc["points"][1][0][0] += 0.25
         path.write_text(json.dumps(doc))
-        with pytest.raises(FormatError):
+        with pytest.raises(FormatError, match="point 1: stored basis is not orthonormal"):
             io.load_dataset(path)
 
     def test_malformed_json_diagnostics(self, tmp_path):
@@ -118,6 +121,9 @@ BAD_DATASET_EDITS = {
     "n-float": lambda d: _edited(d, ["n"], 5.0),
     "p-bool": lambda d: _edited(d, ["p"], True),
     "p-zero": lambda d: _edited(d, ["p"], 0),
+    "no-points": lambda d: {**d, "N": 0, "points": [], "labels": None},
+    "no-points-huge-n": lambda d: {**d, "N": 0, "n": 10**12, "points": [], "labels": None},
+    "n-huge": lambda d: _edited(d, ["n"], 10**12),
     "labels-int": lambda d: _edited(d, ["labels"], 5),
     "field-unknown": lambda d: _edited(d, ["field"], "quaternion"),
     "nan-entry": lambda d: _edited(d, ["points", 0, 0, 0], float("nan")),
@@ -354,6 +360,34 @@ class TestCliProjectReconstruct:
         other_path = tmp_path / "other.json"
         io.save_dataset(other_path, make_dataset(rng, count=4, n=5, p=1))
         assert main(["project", str(model_path), str(other_path), "--out", str(tmp_path / "o.json")]) == 3
+
+    @pytest.mark.parametrize("command", ("project", "reconstruct"))
+    def test_field_mismatch_is_data_error(self, tmp_path, capsys, command):
+        # A real model applied to complex data once exited 0 from project.
+        rng = np.random.default_rng(13)
+        data_path = tmp_path / "data.json"
+        io.save_dataset(data_path, make_dataset(rng, count=6, n=5, p=1))
+        model_path = tmp_path / "m.json"
+        assert main(["fit", str(data_path), "-m", "3", "--max-iter", "5", "--out", str(model_path)]) in (0, 4)
+        complex_path = tmp_path / "dc.json"
+        io.save_dataset(complex_path, make_dataset(rng, count=6, n=5, p=1, field="complex"))
+        out = tmp_path / "o.json"
+        capsys.readouterr()
+        assert main([command, str(model_path), str(complex_path), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "'complex'" in err and "'real'" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ("project", "reconstruct"))
+    def test_degenerate_point_is_named(self, tmp_path, capsys, command):
+        nmap = g.NestedMap(np.eye(4)[:, :2], np.zeros((4, 1)))
+        model_path = tmp_path / "m.json"
+        io.save_model(model_path, nmap)
+        rng = np.random.default_rng(14)
+        data_path = tmp_path / "data.json"
+        io.save_dataset(data_path, [g.sample_stiefel_uniform(4, 1, rng=rng), g.GrassmannPoint(np.eye(4)[:, [3]])])
+        assert main([command, str(model_path), str(data_path), "--out", str(tmp_path / "o.json")]) == 3
+        assert "data point 1: subspace nearly orthogonal to span(A)" in capsys.readouterr().err
 
 
 class TestCliSynth:

@@ -466,6 +466,77 @@ class TestFits:
             g.fit_supervised(pts, [0, 1] * 3, 2, restarts=restarts)
 
 
+def structured_dataset(field, p, seed, count=20, n=7):
+    """Noisy points around a 3-dimensional subspace, offset so that the fitted B is nonzero."""
+    rng = np.random.default_rng(seed)
+    a = g.sample_stiefel_uniform(n, 3, field, rng=rng).basis
+
+    def gaussian(shape):
+        return rng.standard_normal(shape) + (1j * rng.standard_normal(shape) if field == "complex" else 0.0)
+
+    return g.Dataset(g.orthonormal_columns(a @ gaussian((count, 3, p)) + 0.3 * gaussian((count, n, p)) + 0.2)), rng
+
+
+class TestWholeFitInvariances:
+    """Whole fits are equivariant under what leaves the data's subspaces (and B = 0 models) alone.
+
+    The fits stop at 15 iterations. Permuting the points or rotating the
+    ambient space changes only the floating-point order, which moved every
+    loss, EV and B by at most 2e-15 on these inputs; the bound is 1e-10.
+    """
+
+    TOL = 1e-10
+    CONFIG = g.OptimizerConfig(max_iter=15)
+
+    @pytest.mark.parametrize("p", (1, 2))
+    @pytest.mark.parametrize("metric", ("projection", "geodesic"))
+    @pytest.mark.parametrize("field", ("real", "complex"))
+    def test_permutation_and_ambient_unitary(self, field, metric, p):
+        ds, rng = structured_dataset(field, p, seed=40)
+        perm = rng.permutation(len(ds))
+        u = g.sample_stiefel_uniform(7, 7, field, rng=rng).basis
+        base = g.fit_unsupervised(ds, 3, metric, config=self.CONFIG)
+        assert np.abs(base.map.B).max() > 0.01
+        permuted = g.fit_unsupervised(g.Dataset(ds.stacked[perm]), 3, metric, config=self.CONFIG)
+        rotated = g.fit_unsupervised(g.Dataset(u @ ds.stacked), 3, metric, config=self.CONFIG)
+        assert abs(permuted.loss_trace[-1] - base.loss_trace[-1]) < self.TOL
+        assert abs(permuted.explained_variance_ratio - base.explained_variance_ratio) < self.TOL
+        assert len(rotated.loss_trace) == len(base.loss_trace)
+        assert np.abs(np.subtract(rotated.loss_trace, base.loss_trace)).max() < self.TOL
+        assert abs(rotated.explained_variance_ratio - base.explained_variance_ratio) < self.TOL
+        assert g.GrassmannPoint(rotated.map.A).same_subspace(g.GrassmannPoint(u @ base.map.A))
+        assert np.abs(rotated.map.B - u @ base.map.B).max() < self.TOL
+
+    @pytest.mark.parametrize("p", (1, 2))
+    @pytest.mark.parametrize("field", ("real", "complex"))
+    def test_pga_ev_under_permutation_and_ambient_unitary(self, field, p):
+        ds, rng = structured_dataset(field, p, seed=41)
+        u = g.sample_stiefel_uniform(7, 7, field, rng=rng).basis
+        evs = [
+            g.pga_explained_variance(g.pga_fit(d, 2), d, 2)
+            for d in (ds, g.Dataset(ds.stacked[rng.permutation(len(ds))]), g.Dataset(u @ ds.stacked))
+        ]
+        assert np.ptp(evs) < self.TOL
+
+    @pytest.mark.parametrize("p", (1, 2))
+    @pytest.mark.parametrize("metric", ("projection", "geodesic"))
+    @pytest.mark.parametrize("field", ("real", "complex"))
+    def test_change_of_basis_leaves_b_zero_paths_unchanged(self, field, metric, p):
+        # X_i -> X_i Q_i keeps every subspace, so neither the projections nor
+        # the supervised loss (B = 0) may move.
+        ds, rng = structured_dataset(field, p, seed=42)
+        q = g.stack_points([g.sample_stiefel_uniform(p, p, field, rng=rng) for _ in range(len(ds))])
+        turned = g.Dataset(ds.stacked @ q)
+        nmap = random_map(rng, 7, 3, p, field)
+        for a, b in zip(g.project_dataset(nmap, ds), g.project_dataset(nmap, turned), strict=True):
+            assert a.same_subspace(b)
+        aff = build_affinity(np.arange(len(ds)) % 2, g.pairwise_distances(ds, "projection"), 3, 3)
+        v1, (g1, _) = supervised_loss_and_grad(nmap.A, ds.stacked, aff, metric)
+        v2, (g2, _) = supervised_loss_and_grad(nmap.A, turned.stacked, aff, metric)
+        assert abs(v1 - v2) < self.TOL
+        assert np.abs(g1 - g2).max() < 1e-8
+
+
 class TestVariance:
     def test_identical_points_error(self):
         rng = np.random.default_rng(32)
