@@ -14,7 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DegenerateInputError, ShapeError, SupervisionDegenerateError, UndefinedRatioError
-from .geometry import GrassmannPoint, _batched_log_mats, adjoint, as_dataset, pairwise_distances
+from .geometry import GrassmannPoint, _batched_log_mats, _k_nearest, adjoint, as_dataset, pairwise_distances
 
 
 @dataclass(frozen=True, eq=False)
@@ -177,17 +177,22 @@ def gknn_loo(
 def knn_loo_from_distances(distances: np.ndarray, labels, k: int) -> tuple[float, np.ndarray]:
     """Leave-one-out kNN on a precomputed distance matrix, with the tie rule of ``gknn_loo``.
 
-    Raises ShapeError unless the matrix is N x N for N labels and 1 <= k <= N - 1.
+    The k nearest other points are those a stable sort of each row puts first: among equal
+    distances the lower index is nearer. They are found by a partition of each row and a sort of
+    the few candidates at or below its k-th distance, O(N^2) in all, not a full sort of every row.
+    Raises ShapeError unless the matrix is N x N for N labels and 1 <= k <= N - 1, and
+    DegenerateInputError on a NaN or infinite distance.
     """
     labels = np.asarray(labels)
     n_pts = labels.shape[0]
-    if np.shape(distances) != (n_pts, n_pts):
-        raise ShapeError(f"distances must be {n_pts} x {n_pts}, got {np.shape(distances)}")
+    distances = np.asarray(distances)
+    if distances.shape != (n_pts, n_pts):
+        raise ShapeError(f"distances must be {n_pts} x {n_pts}, got {distances.shape}")
     if not 1 <= k <= n_pts - 1:
         raise ShapeError(f"k must be in [1, {n_pts - 1}], got {k}")
     idx = np.arange(n_pts)
-    order = np.argsort(distances, axis=1, kind="stable")
-    neighbors = order[order != idx[:, None]].reshape(n_pts, n_pts - 1)[:, :k]
+    _, neighbors = _k_nearest(distances, ~np.eye(n_pts, dtype=bool), k)
+    neighbors = neighbors.reshape(n_pts, k)
     _, codes = np.unique(labels, return_inverse=True)
     neighbor_codes = codes[neighbors]
     votes = np.zeros((n_pts, codes.max() + 1), dtype=int)

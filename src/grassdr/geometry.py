@@ -153,26 +153,35 @@ def orthonormal_columns(m) -> np.ndarray:
     ``m`` is an n x p matrix or an (..., n, p) stack, each matrix handled on
     its own. The R factor is normalized to have nonnegative real diagonal, so
     the result is a deterministic function of the input. Raises
-    DegenerateInputError when a matrix's smallest singular value is below
-    ``RANK_RTOL`` times its largest; for a stack the error's ``index`` is the
-    flat position of the first such matrix, and the message names it.
+    DegenerateInputError when a matrix has a NaN or infinite entry, or when its
+    smallest singular value is below ``RANK_RTOL`` times its largest; for a
+    stack the error's ``index`` is the flat position of the first such matrix,
+    and the message names it.
     """
     a = _as_matrix(m, stack=True)
     n, p = a.shape[-2:]
     if not 1 <= p <= n:
         raise ShapeError(f"need 1 <= p <= n, got shape {(n, p)}")
+    finite = np.isfinite(a)
+    if not finite.all():
+        i = np.flatnonzero(~finite.all(axis=(-2, -1)))[0]
+        raise _degenerate_matrix(a, i, "has a NaN or infinite entry")
     s = np.linalg.svd(a, compute_uv=False)
     lo, hi = s[..., -1], s[..., 0]
-    bad = (hi == 0.0) | (lo < RANK_RTOL * hi)
-    if bad.any():
-        i = np.flatnonzero(bad)[0]
-        index = np.unravel_index(i, a.shape[:-2])
-        what = f"matrix {', '.join(map(str, index))} of the stack" if index else "matrix"
-        raise DegenerateInputError(
-            f"{what} is numerically rank deficient (singular values {lo.flat[i]:.3e} vs {hi.flat[i]:.3e})",
-            index=int(i) if a.ndim > 2 else None,
+    bad = np.flatnonzero((hi == 0.0) | (lo < RANK_RTOL * hi))
+    if bad.size:
+        i = bad[0]
+        raise _degenerate_matrix(
+            a, i, f"is numerically rank deficient (singular values {lo.flat[i]:.3e} vs {hi.flat[i]:.3e})"
         )
     return _canonical_qr(a)
+
+
+def _degenerate_matrix(a: np.ndarray, i: int, reason: str) -> DegenerateInputError:
+    """The error for matrix ``i`` (flat position) of a matrix or stack ``a``, naming it in a stack."""
+    index = np.unravel_index(i, a.shape[:-2])
+    what = f"matrix {', '.join(map(str, index))} of the stack" if index else "matrix"
+    return DegenerateInputError(f"{what} {reason}", index=int(i) if a.ndim > 2 else None)
 
 
 def _canonical_qr(a: np.ndarray) -> np.ndarray:
@@ -333,6 +342,32 @@ def pairwise_distances(points: Sequence[GrassmannPoint], metric: str = "geodesic
     d = 0.5 * (d + d.T)
     np.fill_diagonal(d, 0.0)
     return d
+
+
+def _k_nearest(distances: np.ndarray, allowed: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's k nearest allowed columns of an N x N distance matrix, as a stable sort of the row finds them.
+
+    ``allowed`` is an N x N boolean mask. Returns the pairs (rows, cols) with col among its row's
+    min(k, number allowed) nearest allowed columns, ordered by row, then distance, then column: among
+    equal distances the lower column is nearer. One partition per row finds its k-th smallest allowed
+    distance, and only the allowed entries at or below it are sorted. Raises DegenerateInputError on a
+    NaN or infinite distance.
+    """
+    if not np.isfinite(distances).all():
+        raise DegenerateInputError("distances must be finite, got a NaN or infinite entry")
+    n_cols = distances.shape[1]
+    if k < 1 or n_cols == 0:
+        none = np.zeros(0, dtype=np.intp)
+        return none, none
+    kth = min(k, n_cols) - 1
+    masked = np.where(allowed, distances, np.inf)
+    masked.partition(kth, axis=1)
+    rows, cols = np.nonzero(allowed & (distances <= masked[:, kth, None]))
+    order = np.lexsort((cols, distances[rows, cols], rows))
+    rows, cols = rows[order], cols[order]
+    # rows is sorted, so searchsorted finds where each row's run starts.
+    keep = np.arange(rows.size) - np.searchsorted(rows, rows) < k
+    return rows[keep], cols[keep]
 
 
 def _columns(stack: np.ndarray) -> np.ndarray:

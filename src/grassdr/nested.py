@@ -51,6 +51,7 @@ from .geometry import (
     GrassmannPoint,
     _canonical_qr,
     _columns,
+    _k_nearest,
     _leading_left_singular_vectors,
     adjoint,
     as_dataset,
@@ -265,7 +266,11 @@ def build_affinity(labels, distances: np.ndarray, k_w: int = 5, k_b: int = 5) ->
 
     a_ij = +1 when i and j share a label and either is among the other's k_w
     nearest same-class neighbors; -1 when labels differ and either is among
-    the other's k_b nearest different-class neighbors; 0 otherwise.
+    the other's k_b nearest different-class neighbors; 0 otherwise. The
+    nearest are those a stable sort of the row puts first: among equal
+    distances the lower index is nearer. A row with fewer than k_w (k_b)
+    candidates takes all of them, and a label with a single member warns.
+    Raises DegenerateInputError on a NaN or infinite distance.
     """
     labels = np.asarray(labels)
     n_pts = labels.shape[0]
@@ -274,22 +279,20 @@ def build_affinity(labels, distances: np.ndarray, k_w: int = 5, k_b: int = 5) ->
         raise ShapeError(f"distances must be {n_pts} x {n_pts}, got {distances.shape}")
     if k_w < 0 or k_b < 0:
         raise ShapeError("k_w and k_b must be nonnegative")
-    aff = np.zeros((n_pts, n_pts))
-    for i in range(n_pts):
-        same = np.nonzero((labels == labels[i]) & (np.arange(n_pts) != i))[0]
-        if same.size == 0 and k_w >= 1:
+    other = labels[:, None] != labels[None, :]
+    same = ~other
+    np.fill_diagonal(same, False)
+    if k_w >= 1:
+        for i in np.flatnonzero(~same.any(axis=1)):
             warnings.warn(
                 f"label {labels[i]!r} has a single member; row {i} gets no positive affinity",
                 stacklevel=2,
             )
-        other = np.nonzero(labels != labels[i])[0]
-        for neighbors, count, value in ((same, k_w, 1.0), (other, k_b, -1.0)):
-            if count == 0 or neighbors.size == 0:
-                continue
-            chosen = neighbors[np.argsort(distances[i, neighbors], kind="stable")[:count]]
-            aff[i, chosen] = value
-            aff[chosen, i] = value
-    np.fill_diagonal(aff, 0.0)
+    aff = np.zeros((n_pts, n_pts))
+    for allowed, count, value in ((same, k_w, 1.0), (other, k_b, -1.0)):
+        rows, cols = _k_nearest(distances, allowed, count)
+        aff[rows, cols] = value
+        aff[cols, rows] = value
     return aff
 
 

@@ -30,7 +30,15 @@ class KAds:
             raise ShapeError(f"need k > 2 landmarks, got {pts.shape[0]}")
         if not np.all(np.isfinite(pts)):
             raise ShapeError("landmarks must be finite")
-        if np.abs(pts - pts[0]).max() == 0.0:
+        # The size (norm of the offsets from the first landmark) is computed scaled, so it
+        # overflows only when it is not representable.
+        with np.errstate(over="ignore", invalid="ignore"):
+            offsets = pts - pts[0]
+            scale = np.abs(offsets).max()
+            size = scale * np.linalg.norm(offsets / scale) if scale > 0.0 else 0.0
+        if not np.isfinite(size):
+            raise ShapeError("the landmarks' offsets from the first landmark overflow")
+        if size == 0.0:
             raise DegenerateShapeError("all landmarks coincide")
         pts.setflags(write=False)
         object.__setattr__(self, "points", pts)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -255,6 +257,42 @@ class TestKnnFromDistances:
         ref_acc, ref_preds = knn_loo_reference(distances, labels, k)
         assert acc == ref_acc
         assert preds.dtype == ref_preds.dtype and np.array_equal(preds, ref_preds)
+
+    @pytest.mark.parametrize("k", (1, 5, 20))
+    def test_matches_reference_loop_at_300_points(self, k):
+        # Distances quantized to 0.05 tie often at the k-th neighbour, where a partition must
+        # still keep the lower index, as the stable sort does.
+        rng = np.random.default_rng(30)
+        d = np.round(rng.random((300, 300)) * 20) * 0.05
+        d = d + d.T
+        np.fill_diagonal(d, 0.0)
+        labels = rng.integers(0, 3, 300)
+        acc, preds = knn_loo_from_distances(d, labels, k)
+        ref_acc, ref_preds = knn_loo_reference(d, labels, k)
+        assert acc == ref_acc and np.array_equal(preds, ref_preds)
+
+    @pytest.mark.parametrize("bad", (np.nan, np.inf, -np.inf))
+    def test_non_finite_distance_rejected(self, bad):
+        d = np.ones((4, 4))
+        d[2, 1] = bad
+        with pytest.raises(DegenerateInputError, match="distances must be finite"):
+            knn_loo_from_distances(d, [0, 1, 0, 1], 1)
+
+    def test_one_call_at_1000_points_peaks_below_2_25_distance_matrices(self):
+        rng = np.random.default_rng(31)
+        d = rng.random((1000, 1000))
+        d = d + d.T
+        np.fill_diagonal(d, 0.0)
+        labels = rng.integers(0, 2, 1000)
+        knn_loo_from_distances(d, labels, 5)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            knn_loo_from_distances(d, labels, 5)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.25 * d.nbytes
 
     @pytest.mark.parametrize("k", (0, -1, 4, 10))
     def test_k_outside_range_rejected(self, k):

@@ -107,6 +107,17 @@ class TestOrthonormalize:
             g.orthonormal_columns(m[3])
         assert err.value.index is None
 
+    @pytest.mark.parametrize("bad", (np.nan, np.inf, -np.inf))
+    def test_non_finite_matrix_rejected(self, bad):
+        with pytest.raises(DegenerateInputError, match="^matrix has a NaN or infinite entry") as err:
+            g.orthonormal_columns(np.array([[bad], [1.0]]))
+        assert err.value.index is None
+        m = np.random.default_rng(7).standard_normal((2, 3, 4, 2))
+        m[1, 0, 2, 1] = bad
+        with pytest.raises(DegenerateInputError, match="^matrix 1, 0 of the stack has a NaN") as err:
+            g.orthonormal_columns(m)
+        assert err.value.index == 3
+
     @pytest.mark.parametrize("bad", (np.nan, np.inf))
     def test_non_finite_basis_rejected(self, bad):
         with pytest.raises(DegenerateInputError):

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -622,6 +623,19 @@ class TestCliShapes:
         assert main(["synth-shapes", "--count", "6", "--landmarks", "8", flag, value, "--out", str(out)]) == 3
         assert f"error: {flag[2:]} must be finite" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_overflowing_shape_is_format_error_naming_the_line(self, tmp_path, capsys):
+        rng = np.random.default_rng(16)
+        shapes, labels = g.two_class_shapes(6, 5, rng=rng)
+        shapes_path = tmp_path / "shapes.csv"
+        io.save_landmarks(shapes_path, shapes, labels)
+        lines = shapes_path.read_text().splitlines()
+        lines[2] = "1,1e308,0,-1e308,0,1,1,2,2,3,3"
+        shapes_path.write_text("\n".join(lines) + "\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["shapes", str(shapes_path), "-m", "2", "--out", str(tmp_path / "t.csv")]) == 3
+        assert "line 3: the landmarks' offsets from the first landmark overflow" in capsys.readouterr().err
 
     def test_single_shape_duplicated_zero_variance_error(self, tmp_path):
         rng = np.random.default_rng(15)

@@ -1,10 +1,14 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import grassdr as g
 from grassdr.errors import (
+    DegenerateInputError,
     DegenerateProjectionError,
     ShapeError,
     SupervisionDegenerateError,
@@ -274,6 +278,31 @@ class TestUnsupervisedLoss:
         assert check_gradient(loss, a, bt, rng=rng) < 1e-5
 
 
+def affinity_reference(labels, distances, k_w, k_b):
+    """Per-row affinity by a stable sort of each row: the loop the selection in ``build_affinity`` replaced."""
+    labels = np.asarray(labels)
+    n_pts = labels.shape[0]
+    aff = np.zeros((n_pts, n_pts))
+    for i in range(n_pts):
+        same = np.nonzero((labels == labels[i]) & (np.arange(n_pts) != i))[0]
+        other = np.nonzero(labels != labels[i])[0]
+        for neighbors, count, value in ((same, k_w, 1.0), (other, k_b, -1.0)):
+            chosen = neighbors[np.argsort(distances[i, neighbors], kind="stable")[:count]]
+            aff[i, chosen] = value
+            aff[chosen, i] = value
+    return aff
+
+
+@st.composite
+def tie_heavy_affinity_cases(draw):
+    """Symmetric integer distances (many ties), up to 4 classes (singletons likely) and k_w, k_b in 0..n."""
+    n = draw(st.integers(1, 12))
+    entries = draw(st.lists(st.integers(0, 3), min_size=n * n, max_size=n * n))
+    d = np.asarray(entries, dtype=float).reshape(n, n)
+    labels = np.asarray(draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)))
+    return labels, d + d.T, draw(st.integers(0, n)), draw(st.integers(0, n))
+
+
 class TestAffinity:
     def test_hand_enumerated_four_points(self):
         labels = [0, 0, 1, 1]
@@ -321,6 +350,23 @@ class TestAffinity:
         with pytest.warns(UserWarning):
             aff = build_affinity([0, 1, 1], d, k_w=1, k_b=1)
         assert not np.any(aff[0] > 0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(tie_heavy_affinity_cases())
+    def test_matches_reference_loop(self, case):
+        labels, distances, k_w, k_b = case
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            aff = build_affinity(labels, distances, k_w, k_b)
+        assert np.array_equal(aff, affinity_reference(labels, distances, k_w, k_b))
+
+    @pytest.mark.parametrize("bad", (np.nan, np.inf))
+    def test_non_finite_distance_rejected(self, bad):
+        d = np.ones((4, 4))
+        d[0, 3] = bad
+        for k_w, k_b in ((1, 1), (0, 0)):
+            with pytest.raises(DegenerateInputError, match="distances must be finite"):
+                build_affinity([0, 0, 1, 1], d, k_w, k_b)
 
 
 class TestSupervisedLoss:

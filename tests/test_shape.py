@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -41,6 +43,16 @@ class TestKadsToGrassmann:
     def test_degenerate_shape_rejected(self):
         with pytest.raises(DegenerateShapeError):
             KAds(np.ones((5, 2)))
+
+    @pytest.mark.parametrize("points", (
+        [[1e308, 0.0], [-1e308, 0.0], [1.0, 1.0]],  # an offset overflows
+        [[0.0, -1e308], [0.0, 1.0], [1.0, 2.0], [2.0, 3.0], [3.0, 1.0]],  # the offsets' norm overflows
+    ))
+    def test_overflowing_offsets_rejected(self, points):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ShapeError, match="overflow"):
+                KAds(np.array(points))
 
     def test_too_few_landmarks_rejected(self):
         with pytest.raises(ShapeError):
