@@ -51,13 +51,9 @@ from .nested import (
 from .optim import (
     OptimizeResult,
     OptimizerConfig,
-    ProductPoint,
-    ProductTangent,
     check_gradient,
     minimize,
     retract,
-    riemannian_gradient,
-    transport,
 )
 from .shape import KAds, kads_to_grassmann, shape_distance
 

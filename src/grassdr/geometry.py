@@ -330,9 +330,8 @@ def _pairwise_angles(stacked: np.ndarray) -> np.ndarray:
 
 
 def pairwise_distances(points: Sequence[GrassmannPoint], metric: str = "geodesic") -> np.ndarray:
-    """Symmetric N x N distance matrix under the chosen metric, zero diagonal."""
-    stacked = points if isinstance(points, np.ndarray) else as_dataset(points).stacked
-    theta = _pairwise_angles(stacked)
+    """Symmetric N x N distance matrix under the chosen metric, zero diagonal; ``points`` goes through ``as_dataset``."""
+    theta = _pairwise_angles(as_dataset(points).stacked)
     if metric == "geodesic":
         d = np.sqrt((theta**2).sum(axis=-1))
     elif metric == "projection":

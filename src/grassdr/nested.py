@@ -62,7 +62,7 @@ from .geometry import (
     sample_stiefel_uniform,
     variance,
 )
-from .optim import OptimizeResult, OptimizerConfig, ProductPoint, minimize
+from .optim import OptimizeResult, OptimizerConfig, minimize
 
 METRICS = ("projection", "geodesic")
 
@@ -395,7 +395,7 @@ def _best_of_restarts(
     best: OptimizeResult | None = None
     for a0 in inits:
         try:
-            result = minimize(loss, ProductPoint(a0, np.zeros((n, width), dtype=stacked.dtype)), config)
+            result = minimize(loss, a0, np.zeros((n, width), dtype=stacked.dtype), config)
         except ConvergenceError as exc:
             # Line search stalled at numerical precision: keep the best iterate.
             result = exc.result
@@ -431,7 +431,7 @@ def fit_unsupervised(
         return unsupervised_loss_and_grad(a, b, ds.stacked, metric)
 
     best = _best_of_restarts(loss, ds.stacked, m, p, config, rng, restarts)
-    nmap = NestedMap.from_unprojected(best.point.A, best.point.B)
+    nmap = NestedMap.from_unprojected(best.A, best.B)
     ratio = explained_variance_ratio(nmap, ds)
     return FitReport(nmap, best.loss_trace, ratio, best.iterations, best.converged, best.grad_norm)
 
@@ -464,14 +464,14 @@ def fit_supervised(
             "supervised fit needs at least two classes; use fit_unsupervised instead"
         )
     ds.variance  # a dataset without a Karcher mean fails here, before the fit
-    distances = pairwise_distances(stacked, metric="projection")
+    distances = pairwise_distances(ds, metric="projection")
     affinity = build_affinity(labels, distances, k_w, k_b)
 
     def loss(a, b):
         return supervised_loss_and_grad(a, stacked, affinity, metric)
 
     best = _best_of_restarts(loss, stacked, m, 0, config, rng, restarts)
-    nmap = NestedMap(best.point.A, np.zeros((n, p), dtype=stacked.dtype))
+    nmap = NestedMap(best.A, np.zeros((n, p), dtype=stacked.dtype))
     ratio = explained_variance_ratio(nmap, ds)
     return FitReport(nmap, best.loss_trace, ratio, best.iterations, best.converged, best.grad_norm)
 

@@ -1,11 +1,11 @@
 """Riemannian conjugate gradient on Gr(m, n) x R^{n x p}.
 
-The Grassmann factor is handled through Stiefel representatives with
-horizontal gradients (optimizing span(A) without quotient bookkeeping);
-the Euclidean factor is unconstrained. Losses are plain Euclidean
-functions ``loss_and_grad(A, B) -> (value, (G_A, G_B))`` where the
-gradients follow the convention dL = Re tr(G^H dM), which coincides with
-the ordinary gradient in the real case.
+A point is a pair of arrays (A, B): a Stiefel representative A of span(A)
+and a free n x p factor B. A direction is a pair (dA, dB) with dA
+horizontal at A, so span(A) is optimized without quotient bookkeeping.
+Losses are plain Euclidean functions ``loss_and_grad(A, B) -> (value, (G_A, G_B))``
+where the gradients follow the convention dL = Re tr(G^H dM), which
+coincides with the ordinary gradient in the real case.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from .errors import ConvergenceError, ShapeError
 from .geometry import ORTHONORMAL_ATOL, _as_matrix, _canonical_qr, adjoint, check_orthonormal
 
 LossAndGrad = Callable[[np.ndarray, np.ndarray], tuple[float, tuple[np.ndarray, np.ndarray]]]
+Pair = tuple[np.ndarray, np.ndarray]
 
 # Line search: the first trial step, the Armijo sufficient-decrease slope, the
 # factor each backtrack shrinks the step by, and the backtracks allowed.
@@ -29,75 +30,31 @@ BACKTRACK_FACTOR = 0.5
 MAX_BACKTRACKS = 30
 
 
-@dataclass(frozen=True, eq=False)
-class ProductPoint:
-    """A point of Gr(m, n) x R^{n x p}: Stiefel representative A, free factor B."""
-
-    A: np.ndarray
-    B: np.ndarray
-
-    def __post_init__(self):
-        a = _as_matrix(self.A, "A").copy()
-        b = np.asarray(self.B, dtype=a.dtype).copy()
-        if b.ndim != 2 or b.shape[0] != a.shape[0]:
-            raise ShapeError(f"B must be {a.shape[0]} x p, got {b.shape}")
-        check_orthonormal(a, ORTHONORMAL_ATOL, ShapeError, "A must have orthonormal columns")
-        self._freeze(a, b)
-
-    def _freeze(self, a: np.ndarray, b: np.ndarray) -> None:
-        a.setflags(write=False)
-        b.setflags(write=False)
-        object.__setattr__(self, "A", a)
-        object.__setattr__(self, "B", b)
-
-
-@dataclass(frozen=True, eq=False)
-class ProductTangent:
-    """Direction (dA, dB) with dA horizontal at the associated A."""
-
-    dA: np.ndarray
-    dB: np.ndarray
-
-
-def inner(u: ProductTangent, v: ProductTangent) -> float:
-    """Product metric: Re tr(dA_u^H dA_v) + Re tr(dB_u^H dB_v)."""
-    val = np.vdot(u.dA, v.dA) + np.vdot(u.dB, v.dB)
+def inner(u: Pair, v: Pair) -> float:
+    """Product metric of two directions: Re tr(dA_u^H dA_v) + Re tr(dB_u^H dB_v)."""
+    val = np.vdot(u[0], v[0]) + np.vdot(u[1], v[1])
     return float(np.real(val))
 
 
-def riemannian_gradient(point: ProductPoint, euclid_grad) -> ProductTangent:
-    """Convert Euclidean gradients to the Riemannian gradient.
+def _horizontal(a: np.ndarray, v: Pair) -> Pair:
+    """Orthogonal projection of (vA, vB) onto the horizontal space at A: ((I - A A^H) vA, vB).
 
-    The Grassmann part is the horizontal projection (I - A A^H) G_A; the
-    Euclidean part passes through unchanged.
+    Applied to Euclidean gradients it gives the Riemannian gradient; applied
+    to a direction at another point it is the projection transport to A.
     """
-    g_a, g_b = euclid_grad
-    g_a = np.asarray(g_a)
-    g_b = np.asarray(g_b)
-    if g_a.shape != point.A.shape or g_b.shape != point.B.shape:
-        raise ShapeError("gradient shapes do not match the point")
-    da = g_a - point.A @ (adjoint(point.A) @ g_a)
-    return ProductTangent(da, g_b)
+    va, vb = v
+    return va - a @ (adjoint(a) @ va), vb
 
 
-def retract(point: ProductPoint, step: ProductTangent, t: float) -> ProductPoint:
+def retract(a: np.ndarray, b: np.ndarray, d: Pair, t: float) -> Pair:
     """QR retraction on the Grassmann factor, translation on the Euclidean one.
 
     A horizontal step keeps full rank, since A^H (A + t dA) = I, so the
     canonical QR needs no rank check and the result no re-validation.
     """
     if t == 0.0:
-        return point
-    moved = object.__new__(ProductPoint)
-    moved._freeze(_canonical_qr(point.A + t * step.dA), point.B + t * step.dB)
-    return moved
-
-
-def transport(from_point: ProductPoint, to_point: ProductPoint, v: ProductTangent) -> ProductTangent:
-    """Projection transport: re-horizontalize dA at the target point."""
-    a = to_point.A
-    da = v.dA - a @ (adjoint(a) @ v.dA)
-    return ProductTangent(da, v.dB)
+        return a, b
+    return _canonical_qr(a + t * d[0]), b + t * d[1]
 
 
 @dataclass
@@ -114,55 +71,67 @@ class OptimizerConfig:
 
 @dataclass
 class OptimizeResult:
-    """Outcome of ``minimize``: best point plus the accepted-loss trace."""
+    """Outcome of ``minimize``: the best point (A, B) plus the accepted-loss trace."""
 
-    point: ProductPoint
+    A: np.ndarray
+    B: np.ndarray
     loss_trace: list[float]
     iterations: int
     converged: bool
     grad_norm: float
 
 
-def _restart_period(point: ProductPoint) -> int:
-    """CG restarts on steepest descent every dim Gr(m, n) + dim R^{n x p} iterations."""
-    n, m = point.A.shape
-    p = point.B.shape[1]
-    return max(1, m * (n - m) + n * p)
+def _evaluate(loss_and_grad: LossAndGrad, a: np.ndarray, b: np.ndarray) -> tuple[float, Pair]:
+    """The loss and its Euclidean gradients at (A, B); gradients not shaped like A and B raise ShapeError."""
+    f, (g_a, g_b) = loss_and_grad(a, b)
+    g_a, g_b = np.asarray(g_a), np.asarray(g_b)
+    if g_a.shape != a.shape or g_b.shape != b.shape:
+        raise ShapeError("gradient shapes do not match the point")
+    return f, (g_a, g_b)
 
 
-def _line_search(loss_and_grad, point, f, d, slope_scale, t0):
-    """Backtracking Armijo search; returns (candidate, f, grads, t) or None."""
+def _line_search(loss_and_grad, a, b, f, d, slope_scale, t0):
+    """Backtracking Armijo search; returns (A, B, f, Euclidean grads, t) or None."""
     t = t0
     for _ in range(MAX_BACKTRACKS + 1):
-        cand = retract(point, d, t)
-        fc, gc = loss_and_grad(cand.A, cand.B)
+        a_c, b_c = retract(a, b, d, t)
+        fc, gc = _evaluate(loss_and_grad, a_c, b_c)
         if fc <= f - ARMIJO_SLOPE * t * slope_scale:
-            return cand, fc, gc, t
+            return a_c, b_c, fc, gc, t
         t *= BACKTRACK_FACTOR
     return None
 
 
 def minimize(
     loss_and_grad: LossAndGrad,
-    init: ProductPoint,
+    a: np.ndarray,
+    b: np.ndarray,
     config: OptimizerConfig | None = None,
 ) -> OptimizeResult:
-    """Conjugate-gradient descent with Polak-Ribiere-plus directions.
+    """Conjugate-gradient descent with Polak-Ribiere-plus directions, from (A, B) = (``a``, ``b``).
 
-    Accepted steps satisfy f_new <= f - ARMIJO_SLOPE * t * max(|grad|^2, -<grad, d>),
-    so the trace is strictly nonincreasing. Terminates when the Riemannian
+    ``a`` (n x m) must have orthonormal columns, ``b`` be n x p and the loss's
+    gradients be shaped like them; otherwise ShapeError. Accepted steps satisfy
+    f_new <= f - ARMIJO_SLOPE * t * max(|grad|^2, -<grad, d>), so the trace is
+    strictly nonincreasing. Restarts on steepest descent every
+    dim Gr(m, n) + dim R^{n x p} iterations. Terminates when the Riemannian
     gradient norm reaches ``grad_tol`` or after ``max_iter`` iterations,
     returning the best point seen. If the line search stalls it retries once
     along steepest descent and then raises ConvergenceError carrying the best
     result so far. Deterministic: no internal randomness.
     """
     config = config or OptimizerConfig()
-    restart_every = _restart_period(init)
+    a = _as_matrix(a, "A")
+    b = np.asarray(b, dtype=a.dtype)
+    if b.ndim != 2 or b.shape[0] != a.shape[0]:
+        raise ShapeError(f"B must be {a.shape[0]} x p, got {b.shape}")
+    check_orthonormal(a, ORTHONORMAL_ATOL, ShapeError, "A must have orthonormal columns")
+    n, m = a.shape
+    restart_every = max(1, m * (n - m) + n * b.shape[1])
 
-    point = init
-    f, eg = loss_and_grad(point.A, point.B)
-    g = riemannian_gradient(point, eg)
-    d = ProductTangent(-g.dA, -g.dB)
+    f, eg = _evaluate(loss_and_grad, a, b)
+    g = _horizontal(a, eg)
+    d = (-g[0], -g[1])
     trace = [float(f)]
     gnorm2 = inner(g, g)
     t_next = INITIAL_STEP
@@ -178,38 +147,37 @@ def minimize(
 
         gd = inner(g, d)
         if gd >= 0.0:  # not a descent direction: restart on steepest descent
-            d = ProductTangent(-g.dA, -g.dB)
+            d = (-g[0], -g[1])
             gd = -gnorm2
         slope_scale = max(gnorm2, -gd)
 
-        hit = _line_search(loss_and_grad, point, f, d, slope_scale, t_next)
+        hit = _line_search(loss_and_grad, a, b, f, d, slope_scale, t_next)
         if hit is None:
-            d = ProductTangent(-g.dA, -g.dB)
-            hit = _line_search(loss_and_grad, point, f, d, gnorm2, INITIAL_STEP)
+            d = (-g[0], -g[1])
+            hit = _line_search(loss_and_grad, a, b, f, d, gnorm2, INITIAL_STEP)
         if hit is None:
             raise ConvergenceError(
                 f"line search failed after {MAX_BACKTRACKS} backtracks "
                 f"(iteration {k}, gradient norm {gnorm:.3e})",
-                result=OptimizeResult(point, trace, iterations, False, gnorm),
+                result=OptimizeResult(a, b, trace, iterations, False, gnorm),
             )
-        cand, fc, egc, t = hit
+        a_new, b_new, f_new, eg, t = hit
 
-        g_new = riemannian_gradient(cand, egc)
+        g_new = _horizontal(a_new, eg)
         gnorm2_new = inner(g_new, g_new)
         if (k + 1) % restart_every == 0:
             beta = 0.0
         else:
-            g_old_t = transport(point, cand, g)
-            diff = ProductTangent(g_new.dA - g_old_t.dA, g_new.dB - g_old_t.dB)
-            beta = max(0.0, inner(g_new, diff) / gnorm2)
-        d_t = transport(point, cand, d)
-        d = ProductTangent(-g_new.dA + beta * d_t.dA, -g_new.dB + beta * d_t.dB)
+            g_old = _horizontal(a_new, g)
+            beta = max(0.0, inner(g_new, (g_new[0] - g_old[0], g_new[1] - g_old[1])) / gnorm2)
+        d_t = _horizontal(a_new, d)
+        d = (-g_new[0] + beta * d_t[0], -g_new[1] + beta * d_t[1])
 
-        point, f, g, gnorm2 = cand, fc, g_new, gnorm2_new
+        a, b, f, g, gnorm2 = a_new, b_new, f_new, g_new, gnorm2_new
         trace.append(float(f))
         t_next = min(INITIAL_STEP, t / BACKTRACK_FACTOR)
 
-    return OptimizeResult(point, trace, iterations, converged, math.sqrt(max(gnorm2, 0.0)))
+    return OptimizeResult(a, b, trace, iterations, converged, math.sqrt(max(gnorm2, 0.0)))
 
 
 def check_gradient(

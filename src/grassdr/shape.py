@@ -56,10 +56,11 @@ def kads_to_grassmann(shape: KAds) -> GrassmannPoint:
     SO(2), not O(2)).
     """
     offsets = shape.points[1:] - shape.points[0]
+    # Scaling by an exact power of two to max |z| in [0.5, 1) leaves the span as it is
+    # and keeps a tiny or huge shape from underflowing or overflowing in the QR.
+    _, exponent = np.frexp(np.hypot(offsets[:, 0], offsets[:, 1]).max())
+    offsets = np.ldexp(offsets, -exponent)
     z = offsets[:, 0] + 1j * offsets[:, 1]
-    norm = np.linalg.norm(z)
-    if norm == 0.0:
-        raise DegenerateShapeError("all landmarks coincide with the first")
     return orthonormalize(z.reshape(-1, 1))
 
 

@@ -2,7 +2,7 @@
 
 Each test prints a single ``[acceptance] ... PASS/FAIL`` line (visible with
 ``pytest -s`` or in captured output). The experiment reproductions dominate
-the runtime of the whole suite (roughly 20 minutes).
+the runtime of the whole suite, which took 53 to 70 s on a 2-core x86 VM.
 
 Known red: criterion 6's small-sigma clause. The measured NG-vs-PGA gap at
 sigma=0.01 is ~0.10 under the specified protocol (robust across seeds,

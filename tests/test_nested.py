@@ -7,7 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import grassdr as g
+from grassdr import nested
 from grassdr.errors import (
+    ConvergenceError,
     DegenerateInputError,
     DegenerateProjectionError,
     ShapeError,
@@ -21,7 +23,7 @@ from grassdr.nested import (
     supervised_loss_and_grad,
     unsupervised_loss_and_grad,
 )
-from grassdr.optim import check_gradient
+from grassdr.optim import OptimizeResult, check_gradient
 
 
 def random_map(rng, n, m, p, field="real", b_scale=0.3):
@@ -510,6 +512,29 @@ class TestFits:
             g.fit_unsupervised(pts, 2, restarts=restarts)
         with pytest.raises(ShapeError):
             g.fit_supervised(pts, [0, 1] * 3, 2, restarts=restarts)
+
+    @pytest.mark.parametrize("final_losses, winner", [((1.0, 2.0), 0), ((2.0, 1.0), 1)])
+    def test_stalled_start_competes_with_its_carried_result(self, monkeypatch, final_losses, winner):
+        # The first start's line search stalls; the best iterate it carries
+        # competes with the later restart on its final loss like any result.
+        # The starting losses are ordered the other way round.
+        starts = []
+
+        def stalling_then_converging(loss, a, b, config=None):
+            final = final_losses[len(starts)]
+            result = OptimizeResult(a, b, [10.0 - final, final], 1, bool(starts), 0.0)
+            starts.append(a)
+            if len(starts) == 1:
+                raise ConvergenceError("line search stalled", result=result)
+            return result
+
+        monkeypatch.setattr(nested, "minimize", stalling_then_converging)
+        rng = np.random.default_rng(38)
+        report = g.fit_unsupervised(random_dataset(rng, 6, 5, 1), 2, rng=rng, restarts=2)
+        assert len(starts) == 2
+        assert report.loss_trace[-1] == final_losses[winner]
+        assert report.converged == bool(winner)
+        assert np.array_equal(report.map.A, starts[winner])
 
 
 def structured_dataset(field, p, seed, count=20, n=7):

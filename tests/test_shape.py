@@ -54,6 +54,16 @@ class TestKadsToGrassmann:
             with pytest.raises(ShapeError, match="overflow"):
                 KAds(np.array(points))
 
+    @pytest.mark.parametrize("scale", (1e-170, 1e-310, 1e200))
+    def test_scale_alone_changes_nothing(self, scale):
+        # A power-of-two rescaling inside keeps tiny (even subnormal) and huge
+        # shapes from underflowing or overflowing on the way to their point.
+        square = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            scaled = kads_to_grassmann(KAds(square * scale))
+        assert np.array_equal(scaled.basis, kads_to_grassmann(KAds(square)).basis)
+
     def test_too_few_landmarks_rejected(self):
         with pytest.raises(ShapeError):
             KAds(np.array([[0.0, 0.0], [1.0, 1.0]]))
