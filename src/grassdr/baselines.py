@@ -63,6 +63,14 @@ def _tangent_coordinates(stacked: np.ndarray, mean: GrassmannPoint) -> np.ndarra
     return _flatten_tangents(_batched_log_mats(mean.basis, stacked))
 
 
+def _check_num_components(num_components: int, mean: GrassmannPoint) -> None:
+    """Require 1 <= num_components <= the real tangent dimension at ``mean``: p(n - p), twice that over C."""
+    n, p = mean.basis.shape
+    dim = p * (n - p) * (2 if np.iscomplexobj(mean.basis) else 1)
+    if not 1 <= num_components <= dim:
+        raise ShapeError(f"num_components must be in [1, {dim}], got {num_components}")
+
+
 def pga_fit(dataset: Sequence[GrassmannPoint], num_components: int) -> PgaModel:
     """Tangent PCA at the Frechet mean (``Dataset.mean``).
 
@@ -78,9 +86,7 @@ def pga_fit(dataset: Sequence[GrassmannPoint], num_components: int) -> PgaModel:
     total = float((coords**2).sum(axis=1).mean())
     if total <= 1e-24:
         raise DegenerateInputError("all points coincide: tangent variance is zero")
-    dim = coords.shape[1]
-    if not 1 <= num_components <= dim:
-        raise ShapeError(f"num_components must be in [1, {dim}], got {num_components}")
+    _check_num_components(num_components, mean)
     cov = coords.T @ coords / coords.shape[0]
     eigvals, eigvecs = np.linalg.eigh(cov)
     order = np.argsort(eigvals)[::-1][:num_components]
@@ -128,9 +134,8 @@ def spga_fit(dataset: Sequence[GrassmannPoint], labels, num_components: int) -> 
     ds = as_dataset(dataset)
     mean = ds.mean
     coords = _tangent_coordinates(ds.stacked, mean)
-    n_pts, dim = coords.shape
-    if not 1 <= num_components <= dim:
-        raise ShapeError(f"num_components must be in [1, {dim}], got {num_components}")
+    n_pts = coords.shape[0]
+    _check_num_components(num_components, mean)
     kernel = (labels[:, None] == labels[None, :]).astype(float)
     centering = np.eye(n_pts) - np.ones((n_pts, n_pts)) / n_pts
     operator = coords.T @ centering @ kernel @ centering @ coords

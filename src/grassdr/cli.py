@@ -30,10 +30,7 @@ EXIT_DATA = 3
 EXIT_CONVERGENCE = 4
 
 SYNTH_HEADER = ("preset", "rep", "sigma_or_mdim", "method", "metric", "explained_variance", "runtime_seconds", "status")
-
-# A custom synth run's options and defaults; a preset fixes them and rejects any other value.
-CUSTOM_SYNTH_OPTIONS = {"--num-points": 50, "--ambient-dim": None, "--planted-dim": None, "--subspace-dim": 1,
-                        "--sigma": 0.0, "--fit-dim": None, "--metric": "both"}
+PRESETS = ("fig3", "fig4", "table1")
 
 
 class UsageError(GrassdrError):
@@ -51,6 +48,17 @@ def _elapsed(start, enabled: bool):
     return (time.perf_counter() - start) if enabled else ""
 
 
+def _fit(args, points, fit_dim: int, config: OptimizerConfig, rng, labels=None):
+    """A nested fit with the fit options of ``fit`` and ``shapes``: supervised when ``labels`` are given."""
+    if labels is not None:
+        return fit_supervised(
+            points, labels, fit_dim, metric=args.metric,
+            k_w=args.k_within, k_b=args.k_between,
+            config=config, rng=rng, restarts=args.restarts,
+        )
+    return fit_unsupervised(points, fit_dim, metric=args.metric, config=config, rng=rng, restarts=args.restarts)
+
+
 # ---------------------------------------------------------------------------
 # fit / project / reconstruct
 # ---------------------------------------------------------------------------
@@ -66,17 +74,7 @@ def cmd_fit(args) -> int:
     config = _optimizer_config(args)
     rng = np.random.default_rng(args.seed)
     start = time.perf_counter()
-    if args.supervised:
-        report = fit_supervised(
-            points, labels, args.m, metric=args.metric,
-            k_w=args.k_within, k_b=args.k_between,
-            config=config, rng=rng, restarts=args.restarts,
-        )
-    else:
-        report = fit_unsupervised(
-            points, args.m, metric=args.metric,
-            config=config, rng=rng, restarts=args.restarts,
-        )
+    report = _fit(args, points, args.m, config, rng, labels if args.supervised else None)
     wall = time.perf_counter() - start
 
     io.save_model(args.out, report.map, metadata={
@@ -123,10 +121,6 @@ def cmd_project(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _rep_seed(seed: int, rep: int) -> int:
-    return seed + rep
-
-
 def _synth_dataset(**config) -> tuple[Dataset, float]:
     """The Dataset ``generate(SynthConfig(**config)).points``, and the seconds its Karcher mean and variance took.
 
@@ -152,60 +146,43 @@ def _ng_row(preset, rep, level, ds, mean_s, fit_dim, metric, config, timing) -> 
     return (preset, rep, level, "ng", metric, report.explained_variance_ratio, runtime, status)
 
 
-def _pga_rows(preset, rep, levels, dims, ds, mean_s, timing) -> list[tuple]:
-    """Rows of one PGA model with max(dims) components: its EV at each of ``dims``, or ``error: ...`` statuses."""
+def _pga_rows(preset, rep, pga_rows, ds, mean_s, timing) -> list[tuple]:
+    """Rows of one PGA model with as many components as the largest k: its EV at each (level, k), or ``error: ...``."""
+    if not pga_rows:
+        return []
     try:
         start = time.perf_counter() - mean_s
-        model = pga_fit(ds, max(dims))
-        evs = [pga_explained_variance(model, ds, k) for k in dims]
+        model = pga_fit(ds, max(k for _, k in pga_rows))
+        evs = [pga_explained_variance(model, ds, k) for _, k in pga_rows]
         runtime = _elapsed(start, timing)
     except GrassdrError as exc:
-        return [(preset, rep, level, "pga", "tpca", "", "", f"error: {exc}") for level in levels]
-    return [(preset, rep, level, "pga", "tpca", ev, runtime, "ok") for level, ev in zip(levels, evs)]
+        return [(preset, rep, level, "pga", "tpca", "", "", f"error: {exc}") for level, _ in pga_rows]
+    return [(preset, rep, level, "pga", "tpca", ev, runtime, "ok") for (level, _), ev in zip(pga_rows, evs)]
 
 
-def _rows_fig3(rep: int, args, config) -> list[tuple]:
-    rows = []
-    for sigma in range(1, 11):
-        ds, mean_s = _synth_dataset(N=50, n=10, m=3, p=1, sigma=float(sigma), seed=_rep_seed(args.seed, rep) * 100 + sigma)
-        for metric in ("projection", "geodesic"):
-            rows.append(_ng_row("fig3", rep, sigma, ds, mean_s, 3, metric, config, args.timing))
-    return rows
+def _synth_experiments(preset: str, seed: int, args) -> list[tuple[dict, list, list]]:
+    """One rep's experiments, with ``seed`` the rep's seed: (SynthConfig keywords, NG fits, PGA rows) per dataset.
 
-
-def _rows_fig4(rep: int, args, config) -> list[tuple]:
-    rows = []
-    for idx, sigma in enumerate((0.01, 0.25, 0.5, 1.0, 1.5, 2.0)):
-        ds, mean_s = _synth_dataset(N=50, n=10, m=5, p=2, sigma=sigma, seed=_rep_seed(args.seed, rep) * 100 + idx)
-        rows.append(_ng_row("fig4", rep, sigma, ds, mean_s, 3, "projection", config, args.timing))
-        rows += _pga_rows("fig4", rep, [sigma], [2], ds, mean_s, args.timing)
-    return rows
-
-
-def _rows_table1(rep: int, args, config) -> list[tuple]:
-    mdims = (2, 4, 6, 8, 10)
-    ds, mean_s = _synth_dataset(N=50, n=30, m=20, p=2, sigma=0.1, seed=_rep_seed(args.seed, rep))
-    rows = _pga_rows("table1", rep, mdims, mdims, ds, mean_s, args.timing)
-    for mdim in mdims:
-        fit_dim = mdim // 2 + 2  # Gr(2, mdim/2 + 2) has dimension mdim
-        rows.append(_ng_row("table1", rep, mdim, ds, mean_s, fit_dim, "projection", config, args.timing))
-    return rows
-
-
-def _rows_custom(rep: int, args, config) -> list[tuple]:
+    The NG fits are (level, fit_dim, metric) and the PGA rows (level, k), all
+    read off one PGA model; the level is the row's sigma_or_mdim.
+    """
+    if preset == "fig3":
+        return [(dict(N=50, n=10, m=3, p=1, sigma=float(sigma), seed=seed * 100 + sigma),
+                 [(sigma, 3, "projection"), (sigma, 3, "geodesic")], [])
+                for sigma in range(1, 11)]
+    if preset == "fig4":
+        return [(dict(N=50, n=10, m=5, p=2, sigma=sigma, seed=seed * 100 + idx),
+                 [(sigma, 3, "projection")], [(sigma, 2)])
+                for idx, sigma in enumerate((0.01, 0.25, 0.5, 1.0, 1.5, 2.0))]
+    if preset == "table1":
+        mdims = (2, 4, 6, 8, 10)  # Gr(2, mdim/2 + 2) has dimension mdim
+        return [(dict(N=50, n=30, m=20, p=2, sigma=0.1, seed=seed),
+                 [(mdim, mdim // 2 + 2, "projection") for mdim in mdims], [(mdim, mdim) for mdim in mdims])]
     metrics = ("projection", "geodesic") if args.metric == "both" else (args.metric,)
-    ds, mean_s = _synth_dataset(
-        N=args.num_points, n=args.ambient_dim, m=args.planted_dim,
-        p=args.subspace_dim, sigma=args.sigma, seed=_rep_seed(args.seed, rep),
-    )
     fit_dim = args.fit_dim if args.fit_dim is not None else args.planted_dim
-    return [
-        _ng_row("custom", rep, args.sigma, ds, mean_s, fit_dim, metric, config, args.timing)
-        for metric in metrics
-    ]
-
-
-PRESETS = {"fig3": _rows_fig3, "fig4": _rows_fig4, "table1": _rows_table1}
+    return [(dict(N=args.num_points, n=args.ambient_dim, m=args.planted_dim, p=args.subspace_dim,
+                  sigma=args.sigma, seed=seed),
+             [(args.sigma, fit_dim, metric) for metric in metrics], [])]
 
 
 def _check_custom_dims(args) -> None:
@@ -223,15 +200,22 @@ def _check_custom_dims(args) -> None:
 
 
 def cmd_synth(args) -> int:
+    given = [flag for flag in CUSTOM_SYNTH_OPTIONS if _dest(flag) in vars(args)]
+    if args.preset is not None and given:
+        raise UsageError(f"{given[0]} applies to a custom run only, not to --preset {args.preset}")
+    for flag, option in CUSTOM_SYNTH_OPTIONS.items():
+        vars(args).setdefault(_dest(flag), option["default"])
     if args.preset is None:
         _check_custom_dims(args)
-    else:
-        for flag, default in CUSTOM_SYNTH_OPTIONS.items():
-            if getattr(args, flag[2:].replace("-", "_")) != default:
-                raise UsageError(f"{flag} applies to a custom run only, not to --preset {args.preset}")
     config = _optimizer_config(args)
-    rows_for = PRESETS.get(args.preset, _rows_custom)
-    rows = [row for rep in range(args.reps) for row in rows_for(rep, args, config)]
+    preset = args.preset or "custom"
+    rows = []
+    for rep in range(args.reps):
+        for synth_config, ng_fits, pga_rows in _synth_experiments(preset, args.seed + rep, args):
+            ds, mean_s = _synth_dataset(**synth_config)
+            rows += _pga_rows(preset, rep, pga_rows, ds, mean_s, args.timing)
+            rows += [_ng_row(preset, rep, level, ds, mean_s, fit_dim, metric, config, args.timing)
+                     for level, fit_dim, metric in ng_fits]
     rows.sort(key=lambda r: (r[0], float(r[2]), r[1], r[3], r[4]))
     io.write_table(args.out, SYNTH_HEADER, rows)
     return EXIT_OK
@@ -280,17 +264,11 @@ def cmd_shapes(args) -> int:
         acc_raw, _ = gknn_loo(points, labels, k=args.knn)
         rows.append(("raw", acc_raw, ""))
 
-    report = fit_unsupervised(points, fit_dim, metric=args.metric, config=config, rng=rng, restarts=args.restarts)
-    rows.append(_nested_row("ng", report, points, labels, args))
+    rows.append(_nested_row("ng", _fit(args, points, fit_dim, config, rng), points, labels, args))
     rows.append(_pga_row("pga", pga_fit(points, args.m), points, labels, args))
 
     if args.supervised:
-        sng = fit_supervised(
-            points, labels, fit_dim, metric=args.metric,
-            k_w=args.k_within, k_b=args.k_between,
-            config=config, rng=rng, restarts=args.restarts,
-        )
-        rows.append(_nested_row("sng", sng, points, labels, args))
+        rows.append(_nested_row("sng", _fit(args, points, fit_dim, config, rng, labels), points, labels, args))
         rows.append(_pga_row("spga", spga_fit(points, labels, args.m), points, labels, args))
 
     io.write_table(args.out, ("method", "knn_accuracy", "explained_variance"), rows)
@@ -328,13 +306,37 @@ _positive_int = _int_at_least(1)
 _nonnegative_int = _int_at_least(0)
 
 
-def _add_common_fit_options(sub, allow_both_metrics: bool = False) -> None:
-    choices = ("projection", "geodesic", "both") if allow_both_metrics else ("projection", "geodesic")
-    sub.add_argument("--metric", choices=choices, default="both" if allow_both_metrics else "projection")
+# A custom synth run's options; a preset fixes them and rejects each one given, whatever its value.
+CUSTOM_SYNTH_OPTIONS = {
+    "--num-points": {"type": _int_at_least(2), "default": 50},
+    "--ambient-dim": {"type": int, "default": None},
+    "--planted-dim": {"type": int, "default": None},
+    "--subspace-dim": {"type": int, "default": 1},
+    "--sigma": {"type": float, "default": 0.0},
+    "--fit-dim": {"type": int, "default": None},
+    "--metric": {"choices": ("projection", "geodesic", "both"), "default": "both"},
+}
+
+
+def _dest(flag: str) -> str:
+    return flag[2:].replace("-", "_")
+
+
+def _add_optimizer_options(sub) -> None:
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--max-iter", type=int, default=300)
     sub.add_argument("--grad-tol", type=float, default=1e-6)
     sub.add_argument("--no-timing", dest="timing", action="store_false")
+
+
+def _add_model_fit_options(sub) -> None:
+    """The options that ``_fit`` reads, shared by ``fit`` and ``shapes``."""
+    sub.add_argument("--metric", choices=("projection", "geodesic"), default="projection")
+    sub.add_argument("--supervised", action="store_true")
+    sub.add_argument("--k-within", type=_nonnegative_int, default=5)
+    sub.add_argument("--k-between", type=_nonnegative_int, default=5)
+    sub.add_argument("--restarts", type=_positive_int, default=1)
+    _add_optimizer_options(sub)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -345,13 +347,9 @@ def build_parser() -> argparse.ArgumentParser:
     fit = subs.add_parser("fit", help="fit a nested model to a dataset file")
     fit.add_argument("dataset")
     fit.add_argument("-m", "--m", type=int, required=True, help="target ambient dimension (fit to Gr(p, m))")
-    fit.add_argument("--supervised", action="store_true")
-    fit.add_argument("--k-within", type=_nonnegative_int, default=5)
-    fit.add_argument("--k-between", type=_nonnegative_int, default=5)
     fit.add_argument("--out", default="model.json")
     fit.add_argument("--report", default=None)
-    fit.add_argument("--restarts", type=_positive_int, default=1)
-    _add_common_fit_options(fit)
+    _add_model_fit_options(fit)
     fit.set_defaults(func=cmd_fit)
 
     for name in ("project", "reconstruct"):
@@ -362,28 +360,20 @@ def build_parser() -> argparse.ArgumentParser:
         sub.set_defaults(func=cmd_project)
 
     synth = subs.add_parser("synth", help="run the synthetic-data protocol and emit a tidy CSV")
-    synth.add_argument("--preset", choices=tuple(PRESETS), default=None)
-    synth.add_argument("--num-points", type=_int_at_least(2), default=CUSTOM_SYNTH_OPTIONS["--num-points"])
-    synth.add_argument("--ambient-dim", type=int, default=CUSTOM_SYNTH_OPTIONS["--ambient-dim"])
-    synth.add_argument("--planted-dim", type=int, default=CUSTOM_SYNTH_OPTIONS["--planted-dim"])
-    synth.add_argument("--subspace-dim", type=int, default=CUSTOM_SYNTH_OPTIONS["--subspace-dim"])
-    synth.add_argument("--sigma", type=float, default=CUSTOM_SYNTH_OPTIONS["--sigma"])
-    synth.add_argument("--fit-dim", type=int, default=CUSTOM_SYNTH_OPTIONS["--fit-dim"])
+    synth.add_argument("--preset", choices=PRESETS, default=None)
+    for flag, option in CUSTOM_SYNTH_OPTIONS.items():
+        synth.add_argument(flag, **{**option, "default": argparse.SUPPRESS})
     synth.add_argument("--reps", type=_positive_int, default=20)
     synth.add_argument("--out", required=True)
-    _add_common_fit_options(synth, allow_both_metrics=True)
+    _add_optimizer_options(synth)
     synth.set_defaults(func=cmd_synth)
 
     shapes = subs.add_parser("shapes", help="shape pipeline: convert, reduce, classify")
     shapes.add_argument("landmarks")
     shapes.add_argument("-m", "--m", type=int, required=True, help="reduced manifold dimension (to Gr(1, m+1) over C)")
-    shapes.add_argument("--supervised", action="store_true")
     shapes.add_argument("--knn", type=_positive_int, default=5)
-    shapes.add_argument("--k-within", type=_nonnegative_int, default=5)
-    shapes.add_argument("--k-between", type=_nonnegative_int, default=5)
     shapes.add_argument("--out", required=True)
-    shapes.add_argument("--restarts", type=_positive_int, default=1)
-    _add_common_fit_options(shapes)
+    _add_model_fit_options(shapes)
     shapes.set_defaults(func=cmd_shapes)
 
     gen = subs.add_parser("synth-shapes", help="generate a labeled two-class landmark file")

@@ -27,9 +27,10 @@ LOAD_DRIFT_LIMIT = 1e-6
 
 
 def _encode_matrix(m: np.ndarray) -> list:
+    """Nested lists of floats, complex entries as [re, im] pairs; a stack of matrices gives a list of them."""
     if np.iscomplexobj(m):
-        return [[[float(v.real), float(v.imag)] for v in row] for row in m]
-    return [[float(v) for v in row] for row in m]
+        m = np.stack([m.real, m.imag], axis=-1)
+    return np.asarray(m, dtype=float).tolist()
 
 
 def _decode_matrix(data, field: str, where: str) -> np.ndarray:
@@ -46,12 +47,19 @@ def _decode_matrix(data, field: str, where: str) -> np.ndarray:
     return arr
 
 
-def _load_json(path) -> dict:
+def _read_text(path) -> str:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"invalid JSON: {exc}", str(path)) from exc
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"not UTF-8 text: {exc}", str(path)) from exc
+
+
+def _parse_json(text: str, where: str):
+    """The JSON value of ``text``; malformed, too deeply nested or over-long numbers are a FormatError."""
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError is a ValueError, as is an over-long integer
+        raise FormatError(f"invalid JSON: {exc}", where) from exc
 
 
 def _check_header(doc, where: str, counts: Sequence[str], lists: Sequence[str]) -> None:
@@ -80,7 +88,7 @@ def save_dataset(path, points: Sequence[GrassmannPoint], labels=None) -> None:
         "p": stacked.shape[2],
         "N": len(stacked),
         "labels": None if labels is None else [_jsonable_label(v) for v in labels],
-        "points": [_encode_matrix(mat) for mat in stacked],
+        "points": _encode_matrix(stacked),
     }
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh)
@@ -94,8 +102,8 @@ def _jsonable_label(v):
 
 def load_dataset(path) -> tuple[Dataset, np.ndarray | None]:
     """The file's points as a Dataset, and its labels; only drifted bases (see LOAD_DRIFT_LIMIT) change."""
-    doc = _load_json(path)
     where = str(path)
+    doc = _parse_json(_read_text(path), where)
     _check_header(doc, where, ("n", "p", "N"), ("points",))
     field = doc["field"]
     if not (1 <= doc["p"] <= doc["n"] and doc["N"]):
@@ -142,8 +150,8 @@ def save_model(path, nmap: NestedMap, metadata: dict | None = None) -> None:
 
 
 def load_model(path) -> tuple[NestedMap, dict]:
-    doc = _load_json(path)
     where = str(path)
+    doc = _parse_json(_read_text(path), where)
     _check_header(doc, where, ("n", "m", "p"), ("A", "B"))
     a = _decode_matrix(doc["A"], doc["field"], f"{where}: A")
     b = _decode_matrix(doc["B"], doc["field"], f"{where}: B")
@@ -171,19 +179,14 @@ def load_landmarks(path) -> tuple[list[KAds], np.ndarray | None]:
     Text rows hold flattened x,y coordinates; an odd number of fields means
     the first field is the label. All shapes must share the same k.
     """
-    text = Path(path).read_text(encoding="utf-8")
+    text = _read_text(path)
     stripped = text.lstrip()
     if stripped.startswith("{") or stripped.startswith("["):
-        return _landmarks_from_json(path, stripped)
-    return _landmarks_from_csv(path, text)
+        return _landmarks_from_json(str(path), _parse_json(stripped, str(path)))
+    return _landmarks_from_csv(str(path), text)
 
 
-def _landmarks_from_json(path, text: str) -> tuple[list[KAds], np.ndarray | None]:
-    where = str(path)
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"invalid JSON: {exc}", where) from exc
+def _landmarks_from_json(where: str, doc) -> tuple[list[KAds], np.ndarray | None]:
     if isinstance(doc, list):
         doc = {"shapes": doc}
     if not isinstance(doc.get("shapes"), list) or not doc["shapes"]:
@@ -199,12 +202,21 @@ def _landmarks_from_json(path, text: str) -> tuple[list[KAds], np.ndarray | None
     return shapes, labels
 
 
-def _landmarks_from_csv(path, text: str) -> tuple[list[KAds], np.ndarray | None]:
-    where = str(path)
+def _csv_rows(text: str, where: str):
+    """(line number, fields) of each delimited-text record; a malformed record is a FormatError naming its line."""
+    reader = csv.reader(text.splitlines())
+    try:
+        for row in reader:
+            yield reader.line_num, row
+    except csv.Error as exc:
+        raise FormatError(f"line {reader.line_num}: {exc}", where) from exc
+
+
+def _landmarks_from_csv(where: str, text: str) -> tuple[list[KAds], np.ndarray | None]:
     shapes: list[KAds] = []
     labels: list[str] = []
     labeled = None
-    for lineno, row in enumerate(csv.reader(text.splitlines()), start=1):
+    for lineno, row in _csv_rows(text, where):
         row = [f.strip() for f in row if f.strip() != ""]
         if not row:
             continue

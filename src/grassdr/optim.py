@@ -200,15 +200,14 @@ def check_gradient(
     worst = 0.0
     for _ in range(num_directions):
         da = rng.standard_normal(a.shape)
-        db = rng.standard_normal(b.shape) if b.size else np.zeros_like(b)
+        db = rng.standard_normal(b.shape)
         if np.iscomplexobj(a):
             da = da + 1j * rng.standard_normal(a.shape)
-            if b.size:
-                db = db + 1j * rng.standard_normal(b.shape)
+            db = db + 1j * rng.standard_normal(b.shape)
         scale = math.sqrt(np.vdot(da, da).real + np.vdot(db, db).real)
         da /= scale
-        db = db / scale if b.size else db
-        analytic = float(np.real(np.vdot(g_a, da) + (np.vdot(g_b, db) if b.size else 0.0)))
+        db /= scale
+        analytic = float(np.real(np.vdot(g_a, da) + np.vdot(g_b, db)))
         f_plus, _ = loss_and_grad(a + h * da, b + h * db)
         f_minus, _ = loss_and_grad(a - h * da, b - h * db)
         numeric = (f_plus - f_minus) / (2.0 * h)

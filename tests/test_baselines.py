@@ -68,6 +68,26 @@ class TestPgaFit:
         assert evs[-1] <= 1.0 + 1e-9
 
 
+@pytest.mark.parametrize("field", ("real", "complex"))
+@pytest.mark.parametrize("method", ("pga", "spga"))
+def test_components_bounded_by_the_tangent_dimension(field, method):
+    # The tangent space of Gr(1, 3) has real dimension 2 (4 over C). One more
+    # component can only be a vertical QR fill-in (|mu^H C| = 1, EV above 1).
+    rng = np.random.default_rng(8)
+    pts = [g.sample_stiefel_uniform(3, 1, field, rng=rng) for _ in range(10)]
+    labels = [0, 1] * 5
+    dim = 2 if field == "real" else 4
+
+    def fit(k):
+        return g.pga_fit(pts, k) if method == "pga" else g.spga_fit(pts, labels, k)
+
+    model = fit(dim)
+    assert np.abs(adjoint(model.mean.basis) @ model.components).max() < 1e-8
+    assert abs(g.pga_explained_variance(model, pts, dim) - 1.0) < 1e-9
+    with pytest.raises(ShapeError, match=rf"num_components must be in \[1, {dim}\], got {dim + 1}"):
+        fit(dim + 1)
+
+
 class TestSpga:
     def _planted(self, rng, sep=0.3, noise=0.08, per_class=20, n=6):
         mu = g.GrassmannPoint(np.eye(n)[:, [0]])

@@ -4,12 +4,15 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 import time
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import grassdr as g
 from grassdr import io
@@ -73,6 +76,18 @@ class TestDatasetFiles:
         path.write_text('{"field": "real", "n": 3')
         with pytest.raises(FormatError):
             io.load_dataset(path)
+
+    @pytest.mark.parametrize("field", ("real", "complex"))
+    def test_points_are_written_as_per_entry_floats(self, tmp_path, field):
+        pts = make_dataset(np.random.default_rng(3), count=3, n=4, p=2, field=field)
+        path = tmp_path / "data.json"
+        io.save_dataset(path, pts)
+
+        def entry(v):
+            return [float(v.real), float(v.imag)] if field == "complex" else float(v)
+
+        expected = [[[entry(v) for v in row] for row in pt.basis] for pt in pts]
+        assert f'"points": {json.dumps(expected)}' in path.read_text()
 
 
 class TestModelFiles:
@@ -207,6 +222,105 @@ class TestUntrustedFiles:
             load(path)
         assert main(argv + ["--out", str(tmp_path / "out")]) == 3
         assert "error:" in capsys.readouterr().err
+
+
+def _valid_file_bytes() -> dict[str, bytes]:
+    """A small valid file for each loader, as the writers make them."""
+    rng = np.random.default_rng(23)
+    with tempfile.TemporaryDirectory() as tmp:
+        data, model, csv_path = Path(tmp, "d.json"), Path(tmp, "m.json"), Path(tmp, "s.csv")
+        io.save_dataset(data, make_dataset(rng, count=2, n=3), labels=[0, 1])
+        a = g.sample_stiefel_uniform(3, 2, rng=rng).basis
+        io.save_model(model, g.NestedMap.from_unprojected(a, rng.standard_normal((3, 1))))
+        shapes, labels = g.two_class_shapes(2, 3, rng=rng)
+        io.save_landmarks(csv_path, shapes, labels)
+        return {
+            "dataset": data.read_bytes(),
+            "model": model.read_bytes(),
+            "landmarks": csv_path.read_bytes(),
+            "landmarks-json": json.dumps({"shapes": TRIANGLES, "labels": [0, 1]}).encode(),
+        }
+
+
+VALID_FILES = _valid_file_bytes()
+
+
+def _check_loaded(kind: str, loaded) -> None:
+    """``loaded`` is what a valid file of ``kind`` gives."""
+    if kind == "dataset":
+        points, labels = loaded
+        assert isinstance(points, g.Dataset) and np.isfinite(points.stacked).all()
+        assert labels is None or len(labels) == len(points)
+    elif kind == "model":
+        assert isinstance(loaded[0], g.NestedMap) and isinstance(loaded[1], dict)
+    else:
+        shapes, labels = loaded
+        assert shapes and all(isinstance(s, g.KAds) for s in shapes)
+        assert len({s.k for s in shapes}) == 1
+        assert labels is None or len(labels) == len(shapes)
+
+
+def _spliced(valid: bytes):
+    """``valid`` with up to 8 bytes at a drawn place replaced by up to 8 arbitrary bytes."""
+    return st.tuples(st.integers(0, len(valid)), st.integers(0, 8), st.binary(max_size=8)).map(
+        lambda t: valid[: t[0]] + t[2] + valid[t[0] + t[1]:])
+
+
+class TestUnreadableFiles:
+    LOADERS = {"dataset": io.load_dataset, "model": io.load_model, "landmarks": io.load_landmarks,
+               "landmarks-json": io.load_landmarks}
+
+    def _argvs(self, tmp_path, bad: Path) -> list[list[str]]:
+        """A fit, a project (bad model, then bad dataset) and a shapes call reading ``bad``."""
+        good = {}
+        for kind in ("dataset", "model"):
+            good[kind] = tmp_path / f"good_{kind}.json"
+            good[kind].write_bytes(VALID_FILES[kind])
+        out = str(tmp_path / "out")
+        return [
+            ["fit", str(bad), "-m", "2", "--out", out],
+            ["project", str(bad), str(good["dataset"]), "--out", out],
+            ["project", str(good["model"]), str(bad), "--out", out],
+            ["shapes", str(bad), "-m", "1", "--out", out],
+        ]
+
+    @pytest.mark.parametrize("content,message", (
+        (b'{"field": "real", "n": \xff\xfe}', "not UTF-8 text"),
+        (b"[" * 200_000 + b"]" * 200_000, "invalid JSON: maximum recursion depth"),
+        (b'{"shapes": ' + b"[" * 200_000 + b"]" * 200_000 + b"}", "invalid JSON: maximum recursion depth"),
+    ), ids=("non-utf8", "deep-list", "deep-object"))
+    def test_unreadable_file_exits_3(self, tmp_path, capsys, content, message):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(content)
+        for load in (io.load_dataset, io.load_model, io.load_landmarks):
+            with pytest.raises(FormatError, match=message):
+                load(bad)
+        for argv in self._argvs(tmp_path, bad):
+            assert main(argv) == 3, argv
+            assert message in capsys.readouterr().err, argv
+        assert not (tmp_path / "out").exists()
+
+    def test_over_long_csv_field_is_format_error_naming_its_line(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("a,0,0,1,0,0,1\nb," + "1" * 140_000 + ",0,1,0,0,1\n")
+        with pytest.raises(FormatError, match="line 2: field larger than field limit"):
+            io.load_landmarks(bad)
+        assert main(["shapes", str(bad), "-m", "1", "--out", str(tmp_path / "out")]) == 3
+        assert "line 2: field larger than field limit" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", LOADERS)
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_any_bytes_load_or_raise_format_error(self, kind, data):
+        content = data.draw(st.one_of(st.binary(max_size=64), _spliced(VALID_FILES[kind])))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp, "in")
+            path.write_bytes(content)
+            try:
+                loaded = self.LOADERS[kind](path)
+            except FormatError:
+                return
+        _check_loaded(kind, loaded)
 
 
 class TestLandmarkFiles:
@@ -508,6 +622,8 @@ class TestCliSynth:
     @pytest.mark.parametrize("flag,value", (
         ("--num-points", "7"), ("--ambient-dim", "6"), ("--planted-dim", "3"), ("--subspace-dim", "2"),
         ("--sigma", "5"), ("--fit-dim", "2"), ("--metric", "projection"),
+        # each at its default value: given is enough
+        ("--num-points", "50"), ("--subspace-dim", "1"), ("--sigma", "0"), ("--metric", "both"),
     ))
     def test_custom_option_with_a_preset_is_usage_error(self, tmp_path, capsys, flag, value):
         out = tmp_path / "x.csv"
