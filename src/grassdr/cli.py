@@ -249,9 +249,9 @@ def cmd_shapes(args) -> int:
     shapes, labels = io.load_landmarks(args.landmarks)
     if args.supervised and labels is None:
         raise UsageError("--supervised requires a labeled landmark file")
-    if labels is not None and args.knn > len(shapes) - 1:
-        raise UsageError(f"--knn must be at most {len(shapes) - 1} (the number of other shapes), got {args.knn}")
-    points = Dataset(kads_to_grassmann(s) for s in shapes)
+    points = kads_to_grassmann(shapes)
+    if labels is not None and args.knn > len(points) - 1:
+        raise UsageError(f"--knn must be at most {len(points) - 1} (the number of other shapes), got {args.knn}")
     ambient = points.stacked.shape[1]
     fit_dim = args.m + 1  # reduce Gr(1, k-1) to Gr(1, m+1): manifold dimension m
     if not 1 < fit_dim <= ambient:
@@ -377,8 +377,8 @@ def build_parser() -> argparse.ArgumentParser:
     shapes.set_defaults(func=cmd_shapes)
 
     gen = subs.add_parser("synth-shapes", help="generate a labeled two-class landmark file")
-    gen.add_argument("--count", type=int, default=40)
-    gen.add_argument("--landmarks", type=int, default=100)
+    gen.add_argument("--count", type=_int_at_least(2), default=40)
+    gen.add_argument("--landmarks", type=_int_at_least(3), default=100)
     gen.add_argument("--deform", type=float, default=0.25)
     gen.add_argument("--nuisance", type=float, default=0.12)
     gen.add_argument("--noise", type=float, default=0.003)

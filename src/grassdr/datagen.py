@@ -104,7 +104,7 @@ def two_class_shapes(
     deform: float = 0.25,
     nuisance: float = 0.12,
     noise: float = 0.003,
-) -> tuple[list[KAds], np.ndarray]:
+) -> tuple[KAds, np.ndarray]:
     """Labeled two-class boundary shapes with a planted class deformation.
 
     Every shape is a unit circle boundary perturbed by ``NUISANCE_MODES`` random
@@ -112,7 +112,7 @@ def two_class_shapes(
     that dominates raw nearest-neighbor distances); class 1 additionally
     carries a fixed fourth-harmonic bump of magnitude ``deform``. Each shape
     receives a random similarity transform and landmark noise. Landmarks are
-    corresponded by boundary parameter.
+    corresponded by boundary parameter; the shapes come as one (n_shapes, k, 2) KAds.
     """
     if n_shapes < 2:
         raise ShapeError("need at least two shapes")
@@ -129,22 +129,22 @@ def two_class_shapes(
     # Every random draw, in the per-shape order that fixes the output for a seed.
     amplitude = np.empty((len(harmonics), n_shapes))
     phase = np.empty((len(harmonics), n_shapes))
-    jitter, similarity = [], []
+    jitter = np.empty((n_shapes, k, 2))
+    angle, scale, shift = np.empty(n_shapes), np.empty(n_shapes), np.empty((n_shapes, 2))
     for i in range(n_shapes):
         for j in range(len(harmonics)):
             amplitude[j, i] = rng.normal(0.0, nuisance)
             phase[j, i] = rng.uniform(0.0, 2.0 * np.pi)
-        jitter.append(rng.normal(0.0, noise, size=(k, 2)))
-        similarity.append((rng.uniform(0.0, 2.0 * np.pi), rng.uniform(0.5, 2.0), rng.uniform(-5.0, 5.0, size=2)))
+        jitter[i] = rng.normal(0.0, noise, size=(k, 2))
+        angle[i], scale[i] = rng.uniform(0.0, 2.0 * np.pi), rng.uniform(0.5, 2.0)
+        shift[i] = rng.uniform(-5.0, 5.0, size=2)
 
     radius = np.ones((n_shapes, k))
     for h, amp, phi in zip(harmonics, amplitude, phase):
         radius += amp[:, None] * np.cos(h * theta + phi[:, None])
     radius[labels == 1] += deform * np.cos(4.0 * theta)
 
-    shapes: list[KAds] = []
-    for r, noise_i, (angle, scale, shift) in zip(radius, jitter, similarity):
-        pts = np.stack([r * np.cos(theta), r * np.sin(theta)], axis=1) + noise_i
-        rot = np.array([[np.cos(angle), -np.sin(angle)], [np.sin(angle), np.cos(angle)]])
-        shapes.append(KAds(scale * pts @ rot.T + shift))
-    return shapes, labels
+    pts = np.stack([radius * np.cos(theta), radius * np.sin(theta)], axis=-1) + jitter
+    # Each rotation a C-contiguous 2 x 2 matrix, applied transposed, as one shape at a time applies it.
+    rot = np.moveaxis(np.array([[np.cos(angle), -np.sin(angle)], [np.sin(angle), np.cos(angle)]]), -1, 0).copy()
+    return KAds(scale[:, None, None] * pts @ rot.transpose(0, 2, 1) + shift[:, None, :]), labels

@@ -2,19 +2,19 @@
 
 
 class GrassdrError(Exception):
-    """Base class for all library errors."""
+    """Base class for all library errors; ``index`` names the bad item within a stack or dataset, if any."""
+
+    def __init__(self, message: str = "", index: int | None = None):
+        super().__init__(message)
+        self.index = index
 
 
 class ShapeError(GrassdrError, ValueError):
-    """Dimension or scalar-field mismatch between operands."""
+    """Dimension or scalar-field mismatch between operands, or a bad landmark shape."""
 
 
 class DegenerateInputError(GrassdrError, ValueError):
-    """Input matrix is (numerically) rank deficient; ``index`` names it within a stack or dataset."""
-
-    def __init__(self, message: str, index: int | None = None):
-        super().__init__(message)
-        self.index = index
+    """Input matrix is (numerically) rank deficient."""
 
 
 class DegenerateProjectionError(DegenerateInputError):

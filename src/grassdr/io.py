@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import FormatError
+from .errors import DegenerateShapeError, FormatError, ShapeError
 from .geometry import Dataset, GrassmannPoint, as_dataset, check_orthonormal, orthonormal_columns
 from .nested import NestedMap
 from .shape import KAds
@@ -36,7 +36,7 @@ def _encode_matrix(m: np.ndarray) -> list:
 def _decode_matrix(data, field: str, where: str) -> np.ndarray:
     try:
         arr = np.asarray(data, dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise FormatError(f"bad matrix entries: {exc}", where) from exc
     if field == "complex":
         if arr.ndim != 3 or arr.shape[-1] != 2:
@@ -164,17 +164,17 @@ def load_model(path) -> tuple[NestedMap, dict]:
     return nmap, doc.get("metadata", {})
 
 
-def save_landmarks(path, shapes: Sequence[KAds], labels=None) -> None:
-    """Write shapes as delimited text, one shape per row (label first if given)."""
+def save_landmarks(path, shapes: KAds, labels=None) -> None:
+    """Write a KAds stack as delimited text, one shape per row (label first if given)."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
-        for i, shape in enumerate(shapes):
-            row = [] if labels is None else [str(labels[i])]
-            writer.writerow(row + list(map(repr, shape.points.ravel().tolist())))
+        for i, row in enumerate(shapes.points.reshape(-1, 2 * shapes.k)):
+            label = [] if labels is None else [str(labels[i])]
+            writer.writerow(label + list(map(repr, row.tolist())))
 
 
-def load_landmarks(path) -> tuple[list[KAds], np.ndarray | None]:
-    """Read shapes from JSON ({"shapes": ..., "labels": ...}) or delimited text.
+def load_landmarks(path) -> tuple[KAds, np.ndarray | None]:
+    """Read a KAds stack from JSON ({"shapes": ..., "labels": ...}) or delimited text.
 
     Text rows hold flattened x,y coordinates; an odd number of fields means
     the first field is the label. All shapes must share the same k.
@@ -186,20 +186,28 @@ def load_landmarks(path) -> tuple[list[KAds], np.ndarray | None]:
     return _landmarks_from_csv(str(path), text)
 
 
-def _landmarks_from_json(where: str, doc) -> tuple[list[KAds], np.ndarray | None]:
+def _kads(stack: np.ndarray, where: str, lines: Sequence[int] | None = None) -> KAds:
+    """``stack`` as a KAds; a bad shape is a FormatError naming ``shape i``, or its line when ``lines`` are given."""
+    try:
+        return KAds(stack)
+    except (ShapeError, DegenerateShapeError) as exc:
+        if lines is None or exc.index is None:
+            raise FormatError(str(exc), where) from exc
+        reason = str(exc).removeprefix(f"shape {exc.index}: ")
+        raise FormatError(f"line {lines[exc.index]}: {reason}", where) from exc
+
+
+def _landmarks_from_json(where: str, doc) -> tuple[KAds, np.ndarray | None]:
     if isinstance(doc, list):
         doc = {"shapes": doc}
-    if not isinstance(doc.get("shapes"), list) or not doc["shapes"]:
-        raise FormatError("'shapes' must be a non-empty list", where)
-    shapes = []
-    for i, rec in enumerate(doc["shapes"]):
-        arr = _decode_matrix(rec, "real", f"{where}: shape {i}")
-        if arr.shape[1] != 2:
-            raise FormatError(f"shape {i} must be a k x 2 array", where)
-        shapes.append(_make_kads(arr, f"{where}: shape {i}"))
-    labels = _labels(doc, len(shapes), where)
-    _check_constant_k(shapes, where)
-    return shapes, labels
+    message = "'shapes' must be a non-empty list of k x 2 arrays of numbers, all with the same k"
+    try:
+        stack = np.asarray(doc.get("shapes"), dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise FormatError(f"{message}: {exc}", where) from exc
+    if stack.ndim != 3 or stack.shape[-1] != 2:
+        raise FormatError(f"{message}, got shape {stack.shape}", where)
+    return _kads(stack, where), _labels(doc, len(stack), where)
 
 
 def _csv_rows(text: str, where: str):
@@ -212,44 +220,27 @@ def _csv_rows(text: str, where: str):
         raise FormatError(f"line {reader.line_num}: {exc}", where) from exc
 
 
-def _landmarks_from_csv(where: str, text: str) -> tuple[list[KAds], np.ndarray | None]:
-    shapes: list[KAds] = []
-    labels: list[str] = []
-    labeled = None
-    for lineno, row in _csv_rows(text, where):
-        row = [f.strip() for f in row if f.strip() != ""]
-        if not row:
+def _landmarks_from_csv(where: str, text: str) -> tuple[KAds, np.ndarray | None]:
+    rows, labels, lines = [], [], []  # each row's fields become floats as they are read, never all rows' at once
+    for lineno, fields in _csv_rows(text, where):
+        fields = [f.strip() for f in fields if f.strip() != ""]
+        if not fields:
             continue
-        has_label = len(row) % 2 == 1
-        if labeled is None:
-            labeled = has_label
-        elif labeled != has_label:
-            raise FormatError(f"line {lineno}: inconsistent label column", where)
-        if has_label:
-            labels.append(row[0])
-            row = row[1:]
+        if not rows:
+            width = len(fields)
+        elif len(fields) != width:
+            raise FormatError(f"line {lineno}: {len(fields)} fields, but line {lines[0]} has {width}", where)
+        has_label = width % 2
+        labels += fields[:has_label]
         try:
-            values = [float(f) for f in row]
+            rows.append(np.array(fields[has_label:], dtype=float))
         except ValueError as exc:
             raise FormatError(f"line {lineno}: non-numeric coordinate ({exc})", where) from exc
-        shapes.append(_make_kads(np.asarray(values).reshape(-1, 2), f"{where}: line {lineno}"))
-    if not shapes:
+        lines.append(lineno)
+    if not rows:
         raise FormatError("no shapes found", where)
-    _check_constant_k(shapes, where)
-    return shapes, (np.asarray(labels) if labeled else None)
-
-
-def _make_kads(arr: np.ndarray, where: str) -> KAds:
-    try:
-        return KAds(arr)
-    except ValueError as exc:
-        raise FormatError(str(exc), where) from exc
-
-
-def _check_constant_k(shapes: Sequence[KAds], where: str) -> None:
-    ks = {s.k for s in shapes}
-    if len(ks) > 1:
-        raise FormatError(f"inconsistent landmark counts across records: {sorted(ks)}", where)
+    stack = np.array(rows).reshape(len(rows), width // 2, 2)
+    return _kads(stack, where, lines), (np.asarray(labels) if labels else None)
 
 
 def format_number(value) -> str:

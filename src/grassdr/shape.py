@@ -3,7 +3,10 @@
 An ordered list of k > 2 landmarks in the plane maps to a point of
 Gr(1, C^(k-1)): subtract the first landmark (removing translation), drop the
 zeroed first entry, read each remaining (x, y) as x + iy, and take the
-complex span (removing rotation and positive scaling).
+complex span (removing rotation and positive scaling). A ``KAds`` holds one
+such k-ad or a non-empty stack of them sharing k, checked as a whole: the
+first bad shape i of a stack raises its one-shape error as ``shape i: ...``,
+with ``index`` i. ``kads_to_grassmann`` maps a stack to a ``Dataset`` in one pass.
 """
 
 from __future__ import annotations
@@ -13,55 +16,61 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateShapeError, ShapeError
-from .geometry import GrassmannPoint, geodesic_distance, orthonormalize
+from .geometry import Dataset, GrassmannPoint, geodesic_distance, orthonormal_columns
 
 
 @dataclass(frozen=True, eq=False)
 class KAds:
-    """An ordered set of k > 2 planar landmark points."""
+    """An ordered set of k > 2 planar landmarks, (k, 2), or a stack of them, (N, k, 2); see the module docstring."""
 
-    points: np.ndarray  # (k, 2)
+    points: np.ndarray
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float).copy()
-        if pts.ndim != 2 or pts.shape[1] != 2:
-            raise ShapeError(f"landmarks must be a k x 2 array, got shape {pts.shape}")
-        if pts.shape[0] <= 2:
-            raise ShapeError(f"need k > 2 landmarks, got {pts.shape[0]}")
-        if not np.all(np.isfinite(pts)):
-            raise ShapeError("landmarks must be finite")
+        if pts.ndim not in (2, 3) or pts.shape[-1] != 2 or pts.shape[-2] <= 2 or not len(pts):
+            raise ShapeError(f"need a k x 2 array with k > 2 or a non-empty stack of them, got shape {pts.shape}")
+        stack = pts.reshape(-1, *pts.shape[-2:])
         # The size (norm of the offsets from the first landmark) is computed scaled, so it
         # overflows only when it is not representable.
-        with np.errstate(over="ignore", invalid="ignore"):
-            offsets = pts - pts[0]
-            scale = np.abs(offsets).max()
-            size = scale * np.linalg.norm(offsets / scale) if scale > 0.0 else 0.0
-        if not np.isfinite(size):
-            raise ShapeError("the landmarks' offsets from the first landmark overflow")
-        if size == 0.0:
-            raise DegenerateShapeError("all landmarks coincide")
+        with np.errstate(all="ignore"):
+            offsets = stack - stack[:, :1]
+            scale = np.abs(offsets).max(axis=(1, 2))
+            size = scale * np.linalg.norm(offsets / scale[:, None, None], axis=(1, 2))
+        faults = (  # each shape's first fault, in this order, is its error
+            (~np.isfinite(stack).all(axis=(1, 2)), ShapeError, "landmarks must be finite"),
+            (scale == 0.0, DegenerateShapeError, "all landmarks coincide"),
+            (~np.isfinite(size), ShapeError, "the landmarks' offsets from the first landmark overflow"),
+        )
+        bad = np.array([flags for flags, _, _ in faults])
+        if bad.any():
+            i = int(bad.any(axis=0).argmax())
+            _, error, reason = faults[bad[:, i].argmax()]
+            raise error(f"shape {i}: {reason}", index=i) if pts.ndim == 3 else error(reason)
         pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
 
     @property
     def k(self) -> int:
-        return self.points.shape[0]
+        return self.points.shape[-2]
 
 
-def kads_to_grassmann(shape: KAds) -> GrassmannPoint:
-    """Similarity-invariant representation of a k-ad in Gr(1, C^(k-1)).
+def kads_to_grassmann(shapes: KAds) -> GrassmannPoint | Dataset:
+    """Similarity-invariant representation of a k-ad in Gr(1, C^(k-1)); a stack of k-ads gives their Dataset.
 
     Translation, rotation and positive scaling of the landmarks yield the
     same point; reflections generally do not (the complex span quotients
-    SO(2), not O(2)).
+    SO(2), not O(2)). A stack is mapped in one pass, each shape bit for bit
+    as on its own.
     """
-    offsets = shape.points[1:] - shape.points[0]
+    pts = shapes.points
+    offsets = pts[..., 1:, :] - pts[..., :1, :]
     # Scaling by an exact power of two to max |z| in [0.5, 1) leaves the span as it is
     # and keeps a tiny or huge shape from underflowing or overflowing in the QR.
-    _, exponent = np.frexp(np.hypot(offsets[:, 0], offsets[:, 1]).max())
-    offsets = np.ldexp(offsets, -exponent)
-    z = offsets[:, 0] + 1j * offsets[:, 1]
-    return orthonormalize(z.reshape(-1, 1))
+    _, exponent = np.frexp(np.hypot(offsets[..., 0], offsets[..., 1]).max(axis=-1))
+    offsets = np.ldexp(offsets, -exponent[..., None, None])
+    z = offsets[..., 0] + 1j * offsets[..., 1]
+    basis = orthonormal_columns(z[..., None])
+    return Dataset(basis) if pts.ndim == 3 else GrassmannPoint(basis)
 
 
 def shape_distance(s1: KAds, s2: KAds) -> float:
@@ -70,6 +79,6 @@ def shape_distance(s1: KAds, s2: KAds) -> float:
     A pseudometric on raw landmark lists and a metric on similarity classes;
     values lie in [0, pi/2].
     """
-    if s1.k != s2.k:
-        raise ShapeError(f"landmark counts differ: {s1.k} vs {s2.k}")
+    if s1.points.ndim != 2 or s1.points.shape != s2.points.shape:
+        raise ShapeError(f"need two k-ads with one k, got shapes {s1.points.shape} and {s2.points.shape}")
     return geodesic_distance(kads_to_grassmann(s1), kads_to_grassmann(s2))

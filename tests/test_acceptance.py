@@ -345,7 +345,7 @@ def test_criterion_8_supervision_sanity_on_shapes():
     for seed in range(10):
         rng = np.random.default_rng(seed)
         shapes, labels = g.two_class_shapes(40, 100, rng=rng)
-        pts = [g.kads_to_grassmann(s) for s in shapes]
+        pts = g.kads_to_grassmann(shapes)
         acc_raw, _ = g.gknn_loo(pts, labels, k=5)
         ng = g.fit_unsupervised(pts, 11)  # Gr(1, C^11): manifold dimension 10
         acc_ng, _ = g.gknn_loo(g.project_dataset(ng.map, pts), labels, k=5)

@@ -127,29 +127,25 @@ class TestTwoClassShapes:
         got, got_labels = g.two_class_shapes(count, landmarks, rng=np.random.default_rng(seed))
         want, want_labels = _two_class_shapes_loop(count, landmarks, rng=np.random.default_rng(seed))
         assert np.array_equal(got_labels, want_labels)
-        for a, b in zip(got, want, strict=True):
-            assert np.array_equal(a.points, b.points)
+        assert np.array_equal(got.points, np.array([b.points for b in want]))
 
     def test_shapes_and_labels(self):
         rng = np.random.default_rng(5)
         shapes, labels = g.two_class_shapes(20, 50, rng=rng)
-        assert len(shapes) == 20
+        assert isinstance(shapes, KAds) and shapes.points.shape == (20, 50, 2) and shapes.k == 50
         assert set(labels) == {0, 1}
-        assert all(s.k == 50 for s in shapes)
         assert np.bincount(labels).tolist() == [10, 10]
 
     def test_determinism(self):
         s1, l1 = g.two_class_shapes(8, 30, rng=np.random.default_rng(6))
         s2, l2 = g.two_class_shapes(8, 30, rng=np.random.default_rng(6))
         assert np.array_equal(l1, l2)
-        for a, b in zip(s1, s2):
-            assert np.array_equal(a.points, b.points)
+        assert np.array_equal(s1.points, s2.points)
 
     def test_classes_differ_in_shape_space(self):
         rng = np.random.default_rng(7)
         shapes, labels = g.two_class_shapes(12, 40, rng=rng, deform=0.5, nuisance=0.03, noise=0.0)
-        pts = [g.kads_to_grassmann(s) for s in shapes]
-        d = g.pairwise_distances(pts)
+        d = g.pairwise_distances(g.kads_to_grassmann(shapes))
         same = np.equal.outer(labels, labels)
         off = ~np.eye(12, dtype=bool)
         assert d[~same].mean() > d[same & off].mean()

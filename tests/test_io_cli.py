@@ -167,6 +167,7 @@ BAD_JSON_INPUTS = {
     "shapes-string": ("shapes", {"shapes": "abc"}),
     "shapes-empty": ("shapes", {"shapes": []}),
     "coordinate-string": ("shapes", {"shapes": [[[0, 0], [1, "a"], [0, 1]], TRIANGLES[1]]}),
+    "coordinate-huge-int": ("shapes", {"shapes": [[[0, 0], [10**400, 0], [0, 1]], TRIANGLES[1]]}),
     "shape-labels-int": ("shapes", {"shapes": TRIANGLES, "labels": 5}),
     "shape-labels-objects": ("shapes", {"shapes": TRIANGLES, "labels": [{"a": 1}, {"b": 2}]}),
     "labels-ragged": ("fit", [[1], [2, 3]]),
@@ -255,9 +256,8 @@ def _check_loaded(kind: str, loaded) -> None:
         assert isinstance(loaded[0], g.NestedMap) and isinstance(loaded[1], dict)
     else:
         shapes, labels = loaded
-        assert shapes and all(isinstance(s, g.KAds) for s in shapes)
-        assert len({s.k for s in shapes}) == 1
-        assert labels is None or len(labels) == len(shapes)
+        assert isinstance(shapes, g.KAds) and shapes.points.ndim == 3 and len(shapes.points)
+        assert labels is None or len(labels) == len(shapes.points)
 
 
 def _spliced(valid: bytes):
@@ -330,10 +330,9 @@ class TestLandmarkFiles:
         path = tmp_path / "shapes.csv"
         io.save_landmarks(path, shapes, labels)
         loaded, loaded_labels = io.load_landmarks(path)
-        assert [s.k for s in loaded] == [12] * 6
+        assert loaded.points.shape == (6, 12, 2)
         assert list(loaded_labels) == [str(v) for v in labels]
-        for a, b in zip(shapes, loaded):
-            assert np.allclose(a.points, b.points)
+        assert np.array_equal(shapes.points, loaded.points)
 
     def test_csv_unlabeled(self, tmp_path):
         rng = np.random.default_rng(6)
@@ -342,14 +341,14 @@ class TestLandmarkFiles:
         io.save_landmarks(path, shapes)
         loaded, labels = io.load_landmarks(path)
         assert labels is None
-        assert len(loaded) == 4
+        assert np.array_equal(shapes.points, loaded.points)
 
     def test_json_shapes(self, tmp_path):
         path = tmp_path / "shapes.json"
         doc = {"shapes": [[[0, 0], [1, 0], [0, 1]], [[0, 0], [2, 0], [0, 2]]], "labels": [0, 1]}
         path.write_text(json.dumps(doc))
         shapes, labels = io.load_landmarks(path)
-        assert len(shapes) == 2 and list(labels) == [0, 1]
+        assert shapes.points.shape == (2, 3, 2) and list(labels) == [0, 1]
 
     def test_inconsistent_k_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -362,6 +361,33 @@ class TestLandmarkFiles:
         path.write_text("0,0,xx,0,0,1\n")
         with pytest.raises(FormatError):
             io.load_landmarks(path)
+
+    def test_json_inconsistent_k_rejected(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"shapes": [TRIANGLES[0], [[0, 0], [1, 0], [1, 1], [0, 1]]], "labels": [0, 1]}))
+        with pytest.raises(FormatError, match="all with the same k"):
+            io.load_landmarks(path)
+        assert main(["shapes", str(path), "-m", "1", "--out", str(tmp_path / "t.csv")]) == 3
+
+    @pytest.mark.parametrize("suffix,where", ((".csv", "line 4"), (".json", "shape 2")))
+    def test_coincident_landmarks_are_format_error_naming_the_shape(self, tmp_path, capsys, suffix, where):
+        shapes, labels = g.two_class_shapes(5, 6, rng=np.random.default_rng(17))
+        path = tmp_path / f"shapes{suffix}"
+        if suffix == ".csv":
+            io.save_landmarks(path, shapes, labels)
+            lines = path.read_text().splitlines()
+            lines[2] = "0," + ",".join(["1.5"] * 12)
+            path.write_text("\n" + "\n".join(lines) + "\n")  # the leading blank line moves shape 2 to line 4
+        else:
+            stack = shapes.points.copy()
+            stack[2] = 1.5
+            path.write_text(json.dumps({"shapes": stack.tolist(), "labels": labels.tolist()}))
+        message = f"{path}: {where}: all landmarks coincide"
+        with pytest.raises(FormatError) as err:
+            io.load_landmarks(path)
+        assert str(err.value) == message
+        assert main(["shapes", str(path), "-m", "2", "--out", str(tmp_path / "t.csv")]) == 3
+        assert message in capsys.readouterr().err
 
 
 class TestCliFit:
@@ -740,6 +766,15 @@ class TestCliShapes:
         assert f"error: {flag[2:]} must be finite" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag,value", (("--count", "1"), ("--count", "-3"), ("--landmarks", "2")))
+    def test_too_few_shapes_or_landmarks_is_usage_error(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "shapes.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["synth-shapes", "--count", "6", "--landmarks", "8", flag, value, "--out", str(out)])
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
+        assert not out.exists()
+
     def test_overflowing_shape_is_format_error_naming_the_line(self, tmp_path, capsys):
         rng = np.random.default_rng(16)
         shapes, labels = g.two_class_shapes(6, 5, rng=rng)
@@ -755,9 +790,9 @@ class TestCliShapes:
 
     def test_single_shape_duplicated_zero_variance_error(self, tmp_path):
         rng = np.random.default_rng(15)
-        shape = g.two_class_shapes(2, 12, rng=rng)[0][0]
+        shape = g.two_class_shapes(2, 12, rng=rng)[0].points[0]
         shapes_path = tmp_path / "shapes.csv"
-        io.save_landmarks(shapes_path, [shape] * 6, labels=[0, 1] * 3)
+        io.save_landmarks(shapes_path, g.KAds(np.array([shape] * 6)), labels=[0, 1] * 3)
         assert main(["shapes", str(shapes_path), "-m", "3", "--out", str(tmp_path / "t.csv")]) == 3
 
 

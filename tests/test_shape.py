@@ -69,6 +69,42 @@ class TestKadsToGrassmann:
             KAds(np.array([[0.0, 0.0], [1.0, 1.0]]))
 
 
+class TestKadsStack:
+    def test_stack_maps_each_shape_bit_for_bit_as_on_its_own(self):
+        rng = np.random.default_rng(8)
+        stack = rng.standard_normal((9, 7, 2)) * np.repeat([1e-170, 1e200, 1.0], 3)[:, None, None]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ds = kads_to_grassmann(KAds(stack))
+        assert isinstance(ds, g.Dataset) and ds.stacked.shape == (9, 6, 1)
+        for shape, point in zip(stack, ds.stacked, strict=True):
+            assert np.array_equal(point, kads_to_grassmann(KAds(shape)).basis)
+
+    @pytest.mark.parametrize("bad,error,message", (
+        (np.full((7, 2), np.nan), ShapeError, "landmarks must be finite"),
+        (np.ones((7, 2)), DegenerateShapeError, "all landmarks coincide"),
+        (np.array([[1e308, 0.0], [-1e308, 0.0]] + [[1.0, 1.0]] * 5), ShapeError,
+         "offsets from the first landmark overflow"),
+    ))
+    def test_bad_shape_in_a_stack_raises_its_one_shape_error_with_its_index(self, bad, error, message):
+        stack = np.random.default_rng(9).standard_normal((6, 7, 2))
+        stack[4] = bad
+        stack[5] = np.ones((7, 2))  # a later bad shape is not the one named
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(error) as single:
+                KAds(bad)
+            with pytest.raises(error) as stacked:
+                KAds(stack)
+        assert message in str(single.value) and single.value.index is None
+        assert str(stacked.value) == f"shape 4: {single.value}" and stacked.value.index == 4
+
+    @pytest.mark.parametrize("shape", ((0, 5, 2), (4, 5, 3), (4, 2, 2), (2, 3, 5, 2)))
+    def test_malformed_stack_rejected(self, shape):
+        with pytest.raises(ShapeError):
+            KAds(np.zeros(shape))
+
+
 class TestShapeDistance:
     def test_zero_on_self_and_similarity_orbit(self):
         rng = np.random.default_rng(1)
@@ -95,3 +131,6 @@ class TestShapeDistance:
         rng = np.random.default_rng(4)
         with pytest.raises(ShapeError):
             shape_distance(random_shape(rng, 10), random_shape(rng, 11))
+        stack = KAds(rng.standard_normal((3, 10, 2)))
+        with pytest.raises(ShapeError):
+            shape_distance(stack, stack)
