@@ -39,6 +39,7 @@ from .nested import (
     FitReport,
     NestedMap,
     build_affinity,
+    embed_dataset,
     embed_point,
     explained_variance_ratio,
     fit_supervised,

@@ -20,7 +20,7 @@ from .baselines import gknn_loo, knn_loo_from_distances, pga_coordinates, pga_ex
 from .datagen import SynthConfig, generate, two_class_shapes
 from .errors import ConvergenceError, GrassdrError
 from .geometry import Dataset
-from .nested import embed_point, fit_supervised, fit_unsupervised, project_dataset
+from .nested import embed_dataset, fit_supervised, fit_unsupervised, project_dataset
 from .optim import OptimizerConfig
 from .shape import kads_to_grassmann
 
@@ -111,7 +111,7 @@ def cmd_project(args) -> int:
     points, labels = io.load_dataset(args.dataset)
     out = project_dataset(nmap, points)
     if args.command == "reconstruct":
-        out = [embed_point(nmap, z) for z in out]
+        out = embed_dataset(nmap, out)
     io.save_dataset(args.out, out, labels)
     return EXIT_OK
 
@@ -400,7 +400,7 @@ def main(argv=None) -> int:
     except ConvergenceError as exc:
         print(f"convergence failure: {exc}", file=sys.stderr)
         return EXIT_CONVERGENCE
-    except (GrassdrError, OSError) as exc:
+    except (GrassdrError, OSError, np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

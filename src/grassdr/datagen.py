@@ -20,7 +20,7 @@ from .geometry import (
     orthonormal_columns,
     sample_stiefel_uniform,
 )
-from .nested import NestedMap
+from .nested import NestedMap, embed_dataset
 from .shape import KAds
 
 # Random radial harmonics of shared nuisance variation in ``two_class_shapes``.
@@ -64,9 +64,9 @@ def generate(config: SynthConfig) -> SyntheticData:
 
     Draws A uniformly on St(m, n), B-tilde with i.i.d. N(0, b_std) entries,
     and Z_i uniformly on St(p, m); plants X-tilde_i = span(A Z_i + (I - A A^H) B)
-    and emits X_i = Exp(X-tilde_i, sigma U_i) with U_i a unit-Frobenius-norm
-    random horizontal tangent. Any finite sigma works; past pi/2 the geodesic
-    wraps around.
+    (``embed_dataset``) and emits X_i = Exp(X-tilde_i, sigma U_i) with U_i a
+    unit-Frobenius-norm random horizontal tangent. Any finite sigma works;
+    past pi/2 the geodesic wraps around.
 
     After A and B-tilde, one (N, m p + n p) Gaussian block holds row i =
     [Z_i draw, U_i draw] (only the Z_i part when sigma = 0), which is the
@@ -82,18 +82,18 @@ def generate(config: SynthConfig) -> SyntheticData:
     nmap = NestedMap.from_unprojected(a, b_tilde)
 
     draws = rng.standard_normal((config.N, m * p + (n * p if sigma > 0.0 else 0)))
-    z = orthonormal_columns(draws[:, : m * p].reshape(-1, m, p))
-    base = orthonormal_columns(a @ z + nmap.B)
-    points = base
-    if sigma > 0.0:
-        g = draws[:, m * p :].reshape(-1, n, p)
-        direction = g - base @ (adjoint(base) @ g)
-        # The norm as a dot product and the second projection repeat the
-        # point-by-point arithmetic, so each seed keeps its data bit for bit.
-        flat = direction.reshape(-1, 1, n * p)
-        h = sigma * (direction / np.sqrt(flat @ adjoint(flat)))
-        points = _exp_basis(base, h - base @ (adjoint(base) @ h))
-    return SyntheticData(Dataset(points), nmap, Dataset(z))
+    planted = Dataset(orthonormal_columns(draws[:, : m * p].reshape(-1, m, p)))
+    embedded = embed_dataset(nmap, planted)
+    if sigma == 0.0:
+        return SyntheticData(embedded, nmap, planted)
+    base = embedded.stacked
+    g = draws[:, m * p :].reshape(-1, n, p)
+    direction = g - base @ (adjoint(base) @ g)
+    # The norm as a dot product and the second projection repeat the
+    # point-by-point arithmetic, so each seed keeps its data bit for bit.
+    flat = direction.reshape(-1, 1, n * p)
+    h = sigma * (direction / np.sqrt(flat @ adjoint(flat)))
+    return SyntheticData(Dataset(_exp_basis(base, h - base @ (adjoint(base) @ h))), nmap, planted)
 
 
 def two_class_shapes(

@@ -34,9 +34,8 @@ REAL_DTYPE = np.float64
 COMPLEX_DTYPE = np.complex128
 
 # Cosines this close to one are pure rounding; snapping them makes coincident
-# subspaces measure exactly zero. Angles below ~1e-7 flatten to zero as a
-# result, consistent with the documented ~1e-8 small-angle precision of the
-# arccos construction.
+# subspaces measure exactly zero. Angles below arccos(1 - 1e-13) ~ 4.5e-7
+# flatten to zero as a result (``same_subspace`` and the log map use sines).
 _COS_SNAP = 1e-13
 
 

@@ -33,18 +33,17 @@ def _encode_matrix(m: np.ndarray) -> list:
     return np.asarray(m, dtype=float).tolist()
 
 
-def _decode_matrix(data, field: str, where: str) -> np.ndarray:
+def _decode_matrix(data, field: str, shape: tuple, where: str) -> np.ndarray:
+    """``data`` as one array of ``shape``, a matrix or a stack of them; complex entries come as [re, im] pairs."""
+    expected = (*shape, 2) if field == "complex" else shape
+    wanted = f"expected {field} entries of shape {expected}" + (" ([re, im] pairs)" if field == "complex" else "")
     try:
         arr = np.asarray(data, dtype=float)
     except (TypeError, ValueError, OverflowError) as exc:
-        raise FormatError(f"bad matrix entries: {exc}", where) from exc
-    if field == "complex":
-        if arr.ndim != 3 or arr.shape[-1] != 2:
-            raise FormatError("complex matrices need [re, im] pairs", where)
-        return arr[..., 0] + 1j * arr[..., 1]
-    if arr.ndim != 2:
-        raise FormatError(f"expected a 2-d matrix, got shape {arr.shape}", where)
-    return arr
+        raise FormatError(f"{wanted}: {exc}", where) from exc
+    if arr.shape != expected:
+        raise FormatError(f"{wanted}, got shape {arr.shape}", where)
+    return arr[..., 0] + 1j * arr[..., 1] if field == "complex" else arr
 
 
 def _read_text(path) -> str:
@@ -105,19 +104,13 @@ def load_dataset(path) -> tuple[Dataset, np.ndarray | None]:
     where = str(path)
     doc = _parse_json(_read_text(path), where)
     _check_header(doc, where, ("n", "p", "N"), ("points",))
-    field = doc["field"]
     if not (1 <= doc["p"] <= doc["n"] and doc["N"]):
         raise FormatError(f"need N >= 1 and 1 <= p <= n, got N = {doc['N']}, p = {doc['p']}, n = {doc['n']}", where)
-    if len(doc["points"]) != doc["N"]:
-        raise FormatError(f"N = {doc['N']} but {len(doc['points'])} points stored", where)
-    mats = [_decode_matrix(rec, field, f"{where}: point {i}") for i, rec in enumerate(doc["points"])]
-    for i, mat in enumerate(mats):
-        if mat.shape != (doc["n"], doc["p"]):
-            raise FormatError(f"point {i} has shape {mat.shape}, expected {(doc['n'], doc['p'])}", where)
-    stacked = np.array(mats)
+    stacked = _decode_matrix(doc["points"], doc["field"], (doc["N"], doc["n"], doc["p"]), f"{where}: points")
     message = "stored basis is not orthonormal (drift {drift:.3e})"
     drifted = check_orthonormal(stacked, LOAD_DRIFT_LIMIT, FormatError, message, where) > 1e-11
-    stacked[drifted] = orthonormal_columns(stacked[drifted])
+    if drifted.any():
+        stacked[drifted] = orthonormal_columns(stacked[drifted])
     return Dataset(stacked), _labels(doc, doc["N"], where)
 
 
@@ -153,10 +146,8 @@ def load_model(path) -> tuple[NestedMap, dict]:
     where = str(path)
     doc = _parse_json(_read_text(path), where)
     _check_header(doc, where, ("n", "m", "p"), ("A", "B"))
-    a = _decode_matrix(doc["A"], doc["field"], f"{where}: A")
-    b = _decode_matrix(doc["B"], doc["field"], f"{where}: B")
-    if a.shape != (doc["n"], doc["m"]) or b.shape != (doc["n"], doc["p"]):
-        raise FormatError("stored matrix shapes disagree with the header", where)
+    a = _decode_matrix(doc["A"], doc["field"], (doc["n"], doc["m"]), f"{where}: A")
+    b = _decode_matrix(doc["B"], doc["field"], (doc["n"], doc["p"]), f"{where}: B")
     try:
         nmap = NestedMap(a, b)
     except ValueError as exc:

@@ -57,7 +57,6 @@ from .geometry import (
     as_dataset,
     check_orthonormal,
     orthonormal_columns,
-    orthonormalize,
     pairwise_distances,
     sample_stiefel_uniform,
     variance,
@@ -136,10 +135,8 @@ class FitReport:
 
 
 def embed_point(nmap: NestedMap, x: GrassmannPoint) -> GrassmannPoint:
-    """Map a point of Gr(p, m) to Gr(p, n): span(A X + B)."""
-    if x.n != nmap.m or x.p != nmap.p or x.field != nmap.field:
-        raise ShapeError(f"point {x!r} does not match map dims (m={nmap.m}, p={nmap.p})")
-    return orthonormalize(nmap.A @ x.basis + nmap.B)
+    """Map a point of Gr(p, m) to Gr(p, n): span(A X + B), as ``embed_dataset`` of one point."""
+    return embed_dataset(nmap, [x])[0]
 
 
 def project_point(nmap: NestedMap, x: GrassmannPoint) -> GrassmannPoint:
@@ -157,12 +154,24 @@ def reconstruct_point(nmap: NestedMap, x: GrassmannPoint) -> GrassmannPoint:
     return embed_point(nmap, project_point(nmap, x))
 
 
-def project_dataset(nmap: NestedMap, points: Sequence[GrassmannPoint]) -> Dataset:
-    """Project many points at once, span(A^H X_i), as a Dataset; errors name the offending data index."""
+def _stacked_on(nmap: NestedMap, points: Sequence[GrassmannPoint], side: str) -> np.ndarray:
+    """The (N, d, p) stack of ``points``, which must match the map's (``side``, p, field); ``side`` is "n" or "m"."""
     stacked = as_dataset(points).stacked
     dims = (*stacked.shape[1:], "complex" if np.iscomplexobj(stacked) else "real")
-    if dims != (nmap.n, nmap.p, nmap.field):
-        raise ShapeError(f"data of (n, p, field) {dims} do not match the map's {nmap.n, nmap.p, nmap.field}")
+    expected = (getattr(nmap, side), nmap.p, nmap.field)
+    if dims != expected:
+        raise ShapeError(f"data of ({side}, p, field) {dims} do not match the map's {expected}")
+    return stacked
+
+
+def embed_dataset(nmap: NestedMap, points: Sequence[GrassmannPoint]) -> Dataset:
+    """Embed many points of Gr(p, m) at once, span(A X_i + B), as a Dataset."""
+    return Dataset(orthonormal_columns(nmap.A @ _stacked_on(nmap, points, "m") + nmap.B))
+
+
+def project_dataset(nmap: NestedMap, points: Sequence[GrassmannPoint]) -> Dataset:
+    """Project many points at once, span(A^H X_i), as a Dataset; errors name the offending data index."""
+    stacked = _stacked_on(nmap, points, "n")
     try:
         q = orthonormal_columns(adjoint(nmap.A) @ stacked)
     except DegenerateInputError as exc:

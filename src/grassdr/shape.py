@@ -30,12 +30,13 @@ class KAds:
         if pts.ndim not in (2, 3) or pts.shape[-1] != 2 or pts.shape[-2] <= 2 or not len(pts):
             raise ShapeError(f"need a k x 2 array with k > 2 or a non-empty stack of them, got shape {pts.shape}")
         stack = pts.reshape(-1, *pts.shape[-2:])
-        # The size (norm of the offsets from the first landmark) is computed scaled, so it
-        # overflows only when it is not representable.
+        # The size (norm of the offsets from the first landmark) is computed scaled, in place,
+        # so it overflows only when it is not representable.
         with np.errstate(all="ignore"):
             offsets = stack - stack[:, :1]
-            scale = np.abs(offsets).max(axis=(1, 2))
-            size = scale * np.linalg.norm(offsets / scale[:, None, None], axis=(1, 2))
+            scale = np.maximum(offsets.max(axis=(1, 2)), -offsets.min(axis=(1, 2)))
+            offsets /= scale[:, None, None]
+            size = scale * np.sqrt(np.einsum("ijk,ijk->i", offsets, offsets))
         faults = (  # each shape's first fault, in this order, is its error
             (~np.isfinite(stack).all(axis=(1, 2)), ShapeError, "landmarks must be finite"),
             (scale == 0.0, DegenerateShapeError, "all landmarks coincide"),
@@ -67,9 +68,8 @@ def kads_to_grassmann(shapes: KAds) -> GrassmannPoint | Dataset:
     # Scaling by an exact power of two to max |z| in [0.5, 1) leaves the span as it is
     # and keeps a tiny or huge shape from underflowing or overflowing in the QR.
     _, exponent = np.frexp(np.hypot(offsets[..., 0], offsets[..., 1]).max(axis=-1))
-    offsets = np.ldexp(offsets, -exponent[..., None, None])
-    z = offsets[..., 0] + 1j * offsets[..., 1]
-    basis = orthonormal_columns(z[..., None])
+    np.ldexp(offsets, -exponent[..., None, None], out=offsets)
+    basis = orthonormal_columns(offsets.view(np.complex128))  # each (x, y) row read as x + iy
     return Dataset(basis) if pts.ndim == 3 else GrassmannPoint(basis)
 
 

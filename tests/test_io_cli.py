@@ -144,6 +144,10 @@ BAD_DATASET_EDITS = {
     "field-unknown": lambda d: _edited(d, ["field"], "quaternion"),
     "nan-entry": lambda d: _edited(d, ["points", 0, 0, 0], float("nan")),
     "inf-entry": lambda d: _edited(d, ["points", 1, 2, 0], float("inf")),
+    "point-wrong-shape": lambda d: _edited(d, ["points", 1], d["points"][1][:-1]),
+    "N-not-point-count": lambda d: _edited(d, ["N"], 3),
+    "real-entries-under-complex": lambda d: _edited(d, ["field"], "complex"),
+    "pairs-under-real": lambda d: _edited(d, ["points"], [[[[v, 0.0] for v in row] for row in pt] for pt in d["points"]]),
 }
 
 BAD_MODEL_EDITS = {
@@ -156,6 +160,7 @@ BAD_MODEL_EDITS = {
     "field-unknown": lambda d: _edited(d, ["field"], 3),
     "nan-in-A": lambda d: _edited(d, ["A", 0, 0], float("nan")),
     "nan-in-B": lambda d: _edited(d, ["B", 2, 0], float("nan")),
+    "A-wrong-shape": lambda d: _edited(d, ["A"], d["A"][:-1]),
 }
 
 # Malformed JSON inputs, each with the command that reads it: "shapes" takes
@@ -448,6 +453,15 @@ class TestCliFit:
         path = tmp_path / "corrupt.json"
         path.write_text("{not json")
         assert main(["fit", str(path), "-m", "3", "--out", str(tmp_path / "m.json")]) == 3
+
+    def test_linalg_error_is_data_error(self, tmp_path, capsys, monkeypatch):
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        replace_everywhere(monkeypatch, g.fit_unsupervised, fail)
+        data_path = self._write_dataset(tmp_path)
+        assert main(["fit", str(data_path), "-m", "3", "--out", str(tmp_path / "m.json")]) == 3
+        assert "error: SVD did not converge" in capsys.readouterr().err
 
     @pytest.mark.parametrize("m", ("0", "1", "9"))
     def test_target_dimension_out_of_range_is_usage_error(self, tmp_path, capsys, m):

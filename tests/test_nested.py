@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 import warnings
 
@@ -127,6 +128,30 @@ class TestEmbedProject:
         with pytest.raises(DegenerateProjectionError) as err:
             g.project_dataset(nmap, pts)
         assert err.value.index == 1
+
+    @pytest.mark.parametrize(
+        "n, m, p, field, count", ((29, 10, 1, "complex", 300), (12, 5, 2, "real", 200), (9, 4, 3, "complex", 50))
+    )
+    def test_embed_dataset_is_the_per_point_map_bit_for_bit(self, n, m, p, field, count):
+        rng = np.random.default_rng(15)
+        nmap = random_map(rng, n, m, p, field)
+        pts = random_dataset(rng, count, m, p, field)
+        embedded = g.embed_dataset(nmap, pts)
+        assert isinstance(embedded, g.Dataset)
+        for z, x in zip(pts, embedded, strict=True):
+            assert np.array_equal(x.basis, g.orthonormal_columns(nmap.A @ z.basis + nmap.B))
+        assert np.array_equal(g.embed_point(nmap, pts[1]).basis, embedded.stacked[1])
+
+    @pytest.mark.parametrize("case", ("field", "dimension"))
+    def test_embed_mismatch_names_both_tuples(self, case):
+        rng = np.random.default_rng(16)
+        nmap = random_map(rng, 7, 3, 2)
+        pts = random_dataset(rng, 4, 3, 2, "complex") if case == "field" else random_dataset(rng, 4, 7, 2)
+        found = "(3, 2, 'complex')" if case == "field" else "(7, 2, 'real')"
+        with pytest.raises(ShapeError, match=rf"\(m, p, field\) {re.escape(found)} .* map's \(3, 2, 'real'\)"):
+            g.embed_dataset(nmap, pts)
+        with pytest.raises(ShapeError, match=re.escape(found)):
+            g.embed_point(nmap, pts[0])
 
 
 class TestReconstruct:
@@ -577,6 +602,27 @@ class TestWholeFitInvariances:
         assert abs(rotated.explained_variance_ratio - base.explained_variance_ratio) < self.TOL
         assert g.GrassmannPoint(rotated.map.A).same_subspace(g.GrassmannPoint(u @ base.map.A))
         assert np.abs(rotated.map.B - u @ base.map.B).max() < self.TOL
+
+    @pytest.mark.parametrize("p", (1, 2))
+    @pytest.mark.parametrize("metric", ("projection", "geodesic"))
+    @pytest.mark.parametrize("field", ("real", "complex"))
+    def test_supervised_fits_under_permutation_and_ambient_unitary(self, field, metric, p):
+        # Supervised fits are chaotic under rounding, so they are compared over 4 iterations only.
+        ds, rng = structured_dataset(field, p, seed=43)
+        labels = np.arange(len(ds)) % 2
+        perm = rng.permutation(len(ds))
+        u = g.sample_stiefel_uniform(7, 7, field, rng=rng).basis
+        config = g.OptimizerConfig(max_iter=4)
+        cases = [(ds, labels), (g.Dataset(ds.stacked[perm]), labels[perm]), (g.Dataset(u @ ds.stacked), labels)]
+        fits = [g.fit_supervised(d, y, 3, metric, k_w=3, k_b=3, config=config) for d, y in cases]
+        evs = [g.pga_explained_variance(g.spga_fit(d, y, 2), d, 2) for d, y in cases]
+        base, permuted, rotated = fits
+        for fit in (permuted, rotated):
+            assert len(fit.loss_trace) == len(base.loss_trace)
+            assert np.abs(np.subtract(fit.loss_trace, base.loss_trace)).max() < self.TOL
+        assert g.GrassmannPoint(permuted.map.A).same_subspace(g.GrassmannPoint(base.map.A))
+        assert g.GrassmannPoint(rotated.map.A).same_subspace(g.GrassmannPoint(u @ base.map.A))
+        assert np.ptp(evs) < self.TOL
 
     @pytest.mark.parametrize("p", (1, 2))
     @pytest.mark.parametrize("field", ("real", "complex"))
