@@ -1,6 +1,6 @@
 """Nested-Grassmann dimensionality reduction for subspace-valued data."""
 
-from .baselines import PgaModel, gknn_loo, pga_coordinates, pga_explained_variance, pga_fit, spga_fit
+from .baselines import PgaModel, gknn_loo, pga_coordinates, pga_distances, pga_explained_variance, pga_fit, spga_fit
 from .datagen import SynthConfig, SyntheticData, generate, two_class_shapes
 from .errors import (
     ConvergenceError,

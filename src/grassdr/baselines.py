@@ -14,7 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DegenerateInputError, ShapeError, SupervisionDegenerateError, UndefinedRatioError
-from .geometry import GrassmannPoint, _batched_log_mats, _k_nearest, adjoint, as_dataset, pairwise_distances
+from .geometry import _ROW_BLOCK, GrassmannPoint, _batched_log_mats, _k_nearest, adjoint, as_dataset, pairwise_distances
 
 
 @dataclass(frozen=True, eq=False)
@@ -159,6 +159,24 @@ def pga_coordinates(model: PgaModel, dataset: Sequence[GrassmannPoint]) -> np.nd
     return coords @ _flatten_tangents(model.components).T
 
 
+def pga_distances(model: PgaModel, dataset: Sequence[GrassmannPoint]) -> np.ndarray:
+    """Euclidean distances (N x N) between the points' ``pga_coordinates``.
+
+    One GEMM gives the inner products g_ij; then sqrt(max(|c_i|^2 + |c_j|^2 - 2 g_ij, 0)) overwrites
+    them ``_ROW_BLOCK`` rows at a time, so a call holds the result plus O(_ROW_BLOCK * N) scalars.
+    """
+    coeffs = pga_coordinates(model, dataset)
+    sq = (coeffs**2).sum(axis=1)
+    d = coeffs @ coeffs.T
+    for start in range(0, len(d), _ROW_BLOCK):
+        rows = d[start : start + _ROW_BLOCK]
+        rows *= 2.0
+        np.subtract(sq[start : start + len(rows), None] + sq, rows, out=rows)
+        np.maximum(rows, 0.0, out=rows)
+        np.sqrt(rows, out=rows)
+    return d
+
+
 def gknn_loo(
     dataset: Sequence[GrassmannPoint],
     labels,
@@ -169,14 +187,22 @@ def gknn_loo(
 
     Each point is classified by the majority label among its k nearest other
     points; ties go to the class of the nearest tied neighbor. Returns the
-    accuracy and the per-point predictions.
+    accuracy and the per-point predictions. Raises ShapeError, before any
+    distance is computed, unless there are N labels and 1 <= k <= N - 1.
     """
     labels = np.asarray(labels)
     n_pts = len(dataset)
     if labels.shape[0] != n_pts:
         raise ShapeError("labels length does not match dataset")
+    _check_k(k, n_pts)
     distances = pairwise_distances(dataset, metric=metric)
     return knn_loo_from_distances(distances, labels, k)
+
+
+def _check_k(k: int, n_pts: int) -> None:
+    """Require 1 <= k <= N - 1: every point has k other points to vote."""
+    if not 1 <= k <= n_pts - 1:
+        raise ShapeError(f"k must be in [1, {n_pts - 1}], got {k}")
 
 
 def knn_loo_from_distances(distances: np.ndarray, labels, k: int) -> tuple[float, np.ndarray]:
@@ -193,8 +219,7 @@ def knn_loo_from_distances(distances: np.ndarray, labels, k: int) -> tuple[float
     distances = np.asarray(distances)
     if distances.shape != (n_pts, n_pts):
         raise ShapeError(f"distances must be {n_pts} x {n_pts}, got {distances.shape}")
-    if not 1 <= k <= n_pts - 1:
-        raise ShapeError(f"k must be in [1, {n_pts - 1}], got {k}")
+    _check_k(k, n_pts)
     idx = np.arange(n_pts)
     _, neighbors = _k_nearest(distances, ~np.eye(n_pts, dtype=bool), k)
     neighbors = neighbors.reshape(n_pts, k)

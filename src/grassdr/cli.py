@@ -16,7 +16,7 @@ import time
 import numpy as np
 
 from . import __version__, io
-from .baselines import gknn_loo, knn_loo_from_distances, pga_coordinates, pga_explained_variance, pga_fit, spga_fit
+from .baselines import gknn_loo, knn_loo_from_distances, pga_distances, pga_explained_variance, pga_fit, spga_fit
 from .datagen import SynthConfig, generate, two_class_shapes
 from .errors import ConvergenceError, GrassdrError
 from .geometry import Dataset
@@ -238,10 +238,7 @@ def _pga_row(method: str, model, points, labels, args) -> tuple:
     """Shapes row of a PGA-type model: LOO kNN accuracy on its coordinates (if labeled) and EV."""
     acc = ""
     if labels is not None:
-        coeffs = pga_coordinates(model, points)
-        sq = (coeffs**2).sum(axis=1)
-        dists = np.sqrt(np.maximum(sq[:, None] + sq[None, :] - 2.0 * (coeffs @ coeffs.T), 0.0))
-        acc, _ = knn_loo_from_distances(dists, labels, args.knn)
+        acc, _ = knn_loo_from_distances(pga_distances(model, points), labels, args.knn)
     return (method, acc, pga_explained_variance(model, points, args.m))
 
 

@@ -39,9 +39,15 @@ COMPLEX_DTYPE = np.complex128
 _COS_SNAP = 1e-13
 
 
+# Rows per step when an N x N matrix is filled or scanned: a call holds it plus O(_ROW_BLOCK * N) scalars.
+_ROW_BLOCK = 128
+
+
 def _angles_from_cosines(s: np.ndarray) -> np.ndarray:
-    s = np.clip(s, 0.0, 1.0)
-    return np.arccos(np.where(s > 1.0 - _COS_SNAP, 1.0, s))
+    """Overwrite the float cosines ``s`` with their angles and return it: clipped to [0, 1], snapped, arccos."""
+    np.clip(s, 0.0, 1.0, out=s)
+    s[s > 1.0 - _COS_SNAP] = 1.0
+    return np.arccos(s, out=s)
 
 
 def adjoint(m: np.ndarray) -> np.ndarray:
@@ -319,25 +325,39 @@ def _batched_log_mats(base: np.ndarray, stacked: np.ndarray) -> np.ndarray:
     return resid @ (ratio[:, :, None] * adjoint(u))
 
 
-def _pairwise_angles(stacked: np.ndarray) -> np.ndarray:
-    """(N, N, p) angles from one (Np x Np) GEMM of all blocks X_i^H X_j; a 1 x 1 block's cosine is its modulus."""
+def pairwise_distances(points: Sequence[GrassmannPoint], metric: str = "geodesic") -> np.ndarray:
+    """Symmetric N x N distance matrix under the chosen metric, zero diagonal; ``points`` goes through ``as_dataset``.
+
+    Fills ``_ROW_BLOCK`` rows at a time from the Gram block X_I^H [X_1 ... X_N] of the column layout: for
+    p = 1 the cosine is the modulus of the inner product, for p > 1 the batched SVD of the p x p blocks
+    gives the cosines. Angles, squares and roots are taken in place on those rows, then d = (d + d^T) / 2
+    over block pairs, so one call holds the result plus O(_ROW_BLOCK * N) scalars.
+    """
+    if metric not in ("geodesic", "projection"):
+        raise ShapeError(f"unknown metric {metric!r}")
+    stacked = as_dataset(points).stacked
     n_pts, _, p = stacked.shape
     flat = _columns(stacked)
-    cos = (adjoint(flat) @ flat).reshape(n_pts, p, n_pts, p).transpose(0, 2, 1, 3)
-    s = np.abs(cos[..., 0]) if p == 1 else np.linalg.svd(cos, compute_uv=False)
-    return _angles_from_cosines(s)
-
-
-def pairwise_distances(points: Sequence[GrassmannPoint], metric: str = "geodesic") -> np.ndarray:
-    """Symmetric N x N distance matrix under the chosen metric, zero diagonal; ``points`` goes through ``as_dataset``."""
-    theta = _pairwise_angles(as_dataset(points).stacked)
-    if metric == "geodesic":
-        d = np.sqrt((theta**2).sum(axis=-1))
-    elif metric == "projection":
-        d = np.sqrt((np.sin(theta) ** 2).sum(axis=-1))
-    else:
-        raise ShapeError(f"unknown metric {metric!r}")
-    d = 0.5 * (d + d.T)
+    d = np.empty((n_pts, n_pts))
+    for start in range(0, n_pts, _ROW_BLOCK):
+        rows = d[start : start + _ROW_BLOCK]
+        gram = adjoint(flat[:, start * p : (start + len(rows)) * p]) @ flat
+        if p == 1:
+            theta = _angles_from_cosines(np.abs(gram, out=rows))
+        else:
+            blocks = gram.reshape(len(rows), p, n_pts, p).transpose(0, 2, 1, 3)
+            theta = _angles_from_cosines(np.linalg.svd(blocks, compute_uv=False))
+        if metric == "projection":
+            np.sin(theta, out=theta)
+        np.square(theta, out=theta)
+        if p > 1:
+            theta.sum(axis=-1, out=rows)
+        np.sqrt(rows, out=rows)
+    for start in range(0, n_pts, _ROW_BLOCK):
+        stop = min(start + _ROW_BLOCK, n_pts)
+        upper = 0.5 * (d[start:stop, start:] + d[start:, start:stop].T)
+        d[start:stop, start:] = upper
+        d[start:, start:stop] = upper.T
     np.fill_diagonal(d, 0.0)
     return d
 
@@ -348,24 +368,29 @@ def _k_nearest(distances: np.ndarray, allowed: np.ndarray, k: int) -> tuple[np.n
     ``allowed`` is an N x N boolean mask. Returns the pairs (rows, cols) with col among its row's
     min(k, number allowed) nearest allowed columns, ordered by row, then distance, then column: among
     equal distances the lower column is nearer. One partition per row finds its k-th smallest allowed
-    distance, and only the allowed entries at or below it are sorted. Raises DegenerateInputError on a
-    NaN or infinite distance.
+    distance, and only the allowed entries at or below it are sorted; both work on ``_ROW_BLOCK`` rows
+    at a time. Raises DegenerateInputError on a NaN or infinite distance.
     """
     if not np.isfinite(distances).all():
         raise DegenerateInputError("distances must be finite, got a NaN or infinite entry")
-    n_cols = distances.shape[1]
+    n_rows, n_cols = distances.shape
     if k < 1 or n_cols == 0:
         none = np.zeros(0, dtype=np.intp)
         return none, none
     kth = min(k, n_cols) - 1
-    masked = np.where(allowed, distances, np.inf)
-    masked.partition(kth, axis=1)
-    rows, cols = np.nonzero(allowed & (distances <= masked[:, kth, None]))
-    order = np.lexsort((cols, distances[rows, cols], rows))
-    rows, cols = rows[order], cols[order]
-    # rows is sorted, so searchsorted finds where each row's run starts.
-    keep = np.arange(rows.size) - np.searchsorted(rows, rows) < k
-    return rows[keep], cols[keep]
+    found_rows, found_cols = [], []
+    for start in range(0, n_rows, _ROW_BLOCK):
+        block, ok = distances[start : start + _ROW_BLOCK], allowed[start : start + _ROW_BLOCK]
+        masked = np.where(ok, block, np.inf)
+        masked.partition(kth, axis=1)
+        rows, cols = np.nonzero(ok & (block <= masked[:, kth, None]))
+        order = np.lexsort((cols, block[rows, cols], rows))
+        rows, cols = rows[order], cols[order]
+        # rows is sorted, so searchsorted finds where each row's run starts.
+        keep = np.arange(rows.size) - np.searchsorted(rows, rows) < k
+        found_rows.append(rows[keep] + start)
+        found_cols.append(cols[keep])
+    return np.concatenate(found_rows), np.concatenate(found_cols)
 
 
 def _columns(stack: np.ndarray) -> np.ndarray:

@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import grassdr as g
+from grassdr import geometry
 from grassdr.errors import (
     ConvergenceError,
     CutLocusError,
@@ -9,7 +12,7 @@ from grassdr.errors import (
     InvalidTangentError,
     ShapeError,
 )
-from grassdr.geometry import _batched_log_mats, _leading_left_singular_vectors, adjoint
+from grassdr.geometry import _COS_SNAP, _batched_log_mats, _leading_left_singular_vectors, adjoint
 
 FIELDS = ("real", "complex")
 
@@ -27,6 +30,27 @@ def projector_distance(x, y):
     px = x.basis @ adjoint(x.basis)
     py = y.basis @ adjoint(y.basis)
     return float(np.linalg.norm(px - py)) / np.sqrt(2.0)
+
+
+def random_stack(rng, count, n, p, field="real"):
+    """(count, n, p) orthonormal bases of Gaussian draws, one batched QR."""
+    z = rng.standard_normal((count, n, p))
+    if field == "complex":
+        z = z + 1j * rng.standard_normal((count, n, p))
+    return g.orthonormal_columns(z)
+
+
+def pairwise_distances_reference(stacked, metric):
+    """The one-GEMM formula the row-blocked ``pairwise_distances`` replaced: all N^2 blocks X_i^H X_j at once."""
+    n_pts, n, p = stacked.shape
+    flat = stacked.transpose(1, 0, 2).reshape(n, -1)
+    cos = (adjoint(flat) @ flat).reshape(n_pts, p, n_pts, p).transpose(0, 2, 1, 3)
+    s = np.clip(np.abs(cos[..., 0]) if p == 1 else np.linalg.svd(cos, compute_uv=False), 0.0, 1.0)
+    theta = np.arccos(np.where(s > 1.0 - _COS_SNAP, 1.0, s))
+    d = np.sqrt(((np.sin(theta) if metric == "projection" else theta) ** 2).sum(axis=-1))
+    d = 0.5 * (d + d.T)
+    np.fill_diagonal(d, 0.0)
+    return d
 
 
 def log_mats_by_inverse(base, stacked):
@@ -215,6 +239,48 @@ class TestDistances:
                     assert np.all(np.diag(d) == 0)
                     pairwise = np.array([[fn(x, y) for y in pts] for x in pts])
                     assert np.abs(d - pairwise).max() < 1e-10, (field, p, metric)
+
+    @pytest.mark.parametrize("metric", ("geodesic", "projection"))
+    @pytest.mark.parametrize("field", FIELDS)
+    @pytest.mark.parametrize("p", (1, 2, 3))
+    @pytest.mark.parametrize("count", (1, 2, 127, 128, 129, 300))
+    def test_row_blocks_match_the_one_gemm_reference(self, count, p, field, metric):
+        """Counts around the 128-row block: each block's GEMM may round apart from the full one by an ulp.
+
+        In R^20 or C^20 random planes meet at angles far from zero, where arccos turns that ulp of a
+        cosine into about an ulp of the distance, not into the 1/sin(theta) ulps of a near-zero angle.
+        """
+        stacked = random_stack(np.random.default_rng(count * 10 + p), count, 20, p, field)
+        d = g.pairwise_distances(stacked, metric=metric)
+        assert d.shape == (count, count)
+        assert np.abs(d - pairwise_distances_reference(stacked, metric)).max() <= 1e-15
+        assert np.array_equal(d, d.T)
+        assert np.all(np.diag(d) == 0.0)
+
+    def test_unknown_metric_rejected_before_any_distance(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("a distance was computed")
+
+        monkeypatch.setattr(geometry, "as_dataset", fail)
+        monkeypatch.setattr(geometry, "_angles_from_cosines", fail)
+        stacked = random_stack(np.random.default_rng(17), 4, 5, 1)
+        with pytest.raises(ShapeError, match="unknown metric 'chordal'"):
+            g.pairwise_distances(stacked, metric="chordal")
+
+    def test_one_call_at_1000_points_peaks_below_two_results(self):
+        # The shapes-large layout: 1000 complex lines in C^49. Rows are filled a block at a time,
+        # so no N x N temporary sits beside the result.
+        stacked = random_stack(np.random.default_rng(18), 1000, 49, 1, "complex")
+        ds = g.Dataset(stacked)
+        g.pairwise_distances(ds)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            d = g.pairwise_distances(ds)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.0 * d.nbytes
 
     @pytest.mark.parametrize("field", FIELDS)
     @pytest.mark.parametrize("p", (1, 2, 3))

@@ -802,6 +802,33 @@ class TestCliShapes:
             assert main(["shapes", str(shapes_path), "-m", "2", "--out", str(tmp_path / "t.csv")]) == 3
         assert "line 3: the landmarks' offsets from the first landmark overflow" in capsys.readouterr().err
 
+    @pytest.mark.skipif(sys.platform != "linux", reason="reads the peak from /proc/self/status")
+    def test_peak_memory_grows_by_under_three_distance_matrices_from_100_to_1000_shapes(self, tmp_path):
+        # Each run is its own process and reports VmHWM, the peak resident size of its own address
+        # space. Its ru_maxrss would not do: a child's starts at the resident size of the process
+        # that forked it, here the test runner. One BLAS thread keeps the BLAS buffers the same on
+        # any machine. The growth is what N adds: the N x N distances and masks.
+        src = str(Path(g.__file__).resolve().parents[1])
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        code = (
+            "import pathlib, sys\n"
+            "from grassdr.cli import main\n"
+            "assert main(sys.argv[1:]) == 0\n"
+            "status = pathlib.Path('/proc/self/status').read_text().splitlines()\n"
+            "print(next(line for line in status if line.startswith('VmHWM:')).split()[1])\n"
+        )
+        peak_kb = {}
+        for count in (100, 1000):
+            shapes_path = tmp_path / f"shapes{count}.csv"
+            argv = ["synth-shapes", "--count", str(count), "--landmarks", "50", "--seed", "0", "--out", str(shapes_path)]
+            assert main(argv) == 0
+            argv = ["shapes", str(shapes_path), "-m", "10", "--no-timing", "--out", str(tmp_path / f"t{count}.csv")]
+            proc = subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True, timeout=300)
+            assert proc.returncode == 0, proc.stderr
+            peak_kb[count] = int(proc.stdout.split()[-1])
+        assert (peak_kb[1000] - peak_kb[100]) * 1024 <= 3 * 1000 * 1000 * 8, peak_kb
+
     def test_single_shape_duplicated_zero_variance_error(self, tmp_path):
         rng = np.random.default_rng(15)
         shape = g.two_class_shapes(2, 12, rng=rng)[0].points[0]

@@ -387,6 +387,17 @@ class TestAffinity:
             aff = build_affinity(labels, distances, k_w, k_b)
         assert np.array_equal(aff, affinity_reference(labels, distances, k_w, k_b))
 
+    @pytest.mark.parametrize("k_w,k_b", ((1, 1), (5, 5), (20, 3)))
+    def test_matches_reference_loop_at_300_points(self, k_w, k_b):
+        # 300 rows span three row blocks; distances quantized to 0.05 tie often at the k-th
+        # neighbour, where the selection must still keep the lower index, as the stable sort does.
+        rng = np.random.default_rng(30)
+        d = np.round(rng.random((300, 300)) * 20) * 0.05
+        d = d + d.T
+        np.fill_diagonal(d, 0.0)
+        labels = rng.integers(0, 3, 300)
+        assert np.array_equal(build_affinity(labels, d, k_w, k_b), affinity_reference(labels, d, k_w, k_b))
+
     @pytest.mark.parametrize("bad", (np.nan, np.inf))
     def test_non_finite_distance_rejected(self, bad):
         d = np.ones((4, 4))
