@@ -1,9 +1,10 @@
 """Comparison methods: tangent-space PGA, supervised PGA, and geodesic kNN.
 
 PGA is the tangent-PCA approximation: log-map the data at the Frechet mean,
-flatten to real coordinate vectors, and eigendecompose the (uncentered)
-sample covariance. Supervised PGA replaces the covariance with the
-dependence-maximizing operator T H K H T^H built from the label kernel.
+write the log maps in an orthonormal basis of the mean's complement as real
+coordinate vectors, and eigendecompose their (uncentered) sample covariance.
+Supervised PGA replaces the covariance with the dependence-maximizing
+operator T^H H K H T built from the label kernel.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DegenerateInputError, ShapeError, SupervisionDegenerateError, UndefinedRatioError
-from .geometry import _ROW_BLOCK, GrassmannPoint, _batched_log_mats, _k_nearest, adjoint, as_dataset, pairwise_distances
+from .geometry import _ROW_BLOCK, Dataset, GrassmannPoint, _batched_log_mats, _k_nearest, adjoint, as_dataset, pairwise_distances
 
 
 @dataclass(frozen=True, eq=False)
@@ -39,36 +40,35 @@ def _flatten_tangents(mats: np.ndarray) -> np.ndarray:
     return np.asarray(flat, dtype=float)
 
 
-def _unflatten_components(vectors: np.ndarray, shape: tuple[int, int], complex_field: bool) -> np.ndarray:
-    k = vectors.shape[0]
-    if complex_field:
-        half = vectors.shape[1] // 2
-        mats = vectors[:, :half] + 1j * vectors[:, half:]
-    else:
-        mats = vectors
-    return mats.reshape(k, *shape)
-
-
-def _horizontal_orthonormal(components: np.ndarray, mean: GrassmannPoint) -> np.ndarray:
-    """Project components to the horizontal space at ``mean`` and re-orthonormalize."""
-    basis = mean.basis
-    horiz = components - basis @ (adjoint(basis) @ components)
-    flat = _flatten_tangents(horiz).T  # (d, k)
-    q, _ = np.linalg.qr(flat)
-    ortho = q.T[: components.shape[0]]
-    return _unflatten_components(ortho, basis.shape, np.iscomplexobj(basis))
-
-
 def _tangent_coordinates(stacked: np.ndarray, mean: GrassmannPoint) -> np.ndarray:
     return _flatten_tangents(_batched_log_mats(mean.basis, stacked))
 
 
-def _check_num_components(num_components: int, mean: GrassmannPoint) -> None:
-    """Require 1 <= num_components <= the real tangent dimension at ``mean``: p(n - p), twice that over C."""
-    n, p = mean.basis.shape
-    dim = p * (n - p) * (2 if np.iscomplexobj(mean.basis) else 1)
-    if not 1 <= num_components <= dim:
-        raise ShapeError(f"num_components must be in [1, {dim}], got {num_components}")
+def _tangent_frame(ds: Dataset, num_components: int) -> tuple[np.ndarray, np.ndarray]:
+    """Head of both fits: X_perp and the coordinates of the points' log maps at ``Dataset.mean`` in it.
+
+    X_perp holds the last n - p columns of the complete QR of the mean's basis, an orthonormal basis
+    of its complement, and row i of the coordinates is X_perp^H log_mu(X_i) flattened. Their width,
+    p(n - p) (2p(n - p) over C), is the tangent dimension: ``num_components`` must lie in [1, width].
+    """
+    basis = ds.mean.basis
+    perp = np.linalg.qr(basis, mode="complete")[0][:, basis.shape[1] :]
+    coords = _flatten_tangents(adjoint(perp) @ _batched_log_mats(basis, ds.stacked))
+    if not 1 <= num_components <= coords.shape[1]:
+        raise ShapeError(f"num_components must be in [1, {coords.shape[1]}], got {num_components}")
+    return perp, coords
+
+
+def _components(perp: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """Tail of both fits: orthonormal coordinate vectors (columns of ``vectors``) as components X_perp V.
+
+    X_perp^H X_perp = I, so the (k, n, p) components are horizontal at the mean and orthonormal.
+    """
+    mats = vectors.T
+    if np.iscomplexobj(perp):
+        half = mats.shape[1] // 2
+        mats = mats[:, :half] + 1j * mats[:, half:]
+    return perp @ mats.reshape(len(mats), perp.shape[1], -1)
 
 
 def pga_fit(dataset: Sequence[GrassmannPoint], num_components: int) -> PgaModel:
@@ -81,19 +81,12 @@ def pga_fit(dataset: Sequence[GrassmannPoint], num_components: int) -> PgaModel:
     if len(dataset) < 2:
         raise ShapeError("PGA needs at least two points")
     ds = as_dataset(dataset)
-    mean = ds.mean
-    coords = _tangent_coordinates(ds.stacked, mean)
-    total = float((coords**2).sum(axis=1).mean())
-    if total <= 1e-24:
+    perp, coords = _tangent_frame(ds, num_components)
+    if float((coords**2).sum(axis=1).mean()) <= 1e-24:
         raise DegenerateInputError("all points coincide: tangent variance is zero")
-    _check_num_components(num_components, mean)
-    cov = coords.T @ coords / coords.shape[0]
-    eigvals, eigvecs = np.linalg.eigh(cov)
+    eigvals, eigvecs = np.linalg.eigh(coords.T @ coords / coords.shape[0])
     order = np.argsort(eigvals)[::-1][:num_components]
-    variances = np.clip(eigvals[order], 0.0, None)
-    raw = _unflatten_components(eigvecs[:, order].T, mean.basis.shape, np.iscomplexobj(mean.basis))
-    components = _horizontal_orthonormal(raw, mean)
-    return PgaModel(mean, components, variances)
+    return PgaModel(ds.mean, _components(perp, eigvecs[:, order]), np.clip(eigvals[order], 0.0, None))
 
 
 def pga_explained_variance(model: PgaModel, dataset: Sequence[GrassmannPoint], k: int) -> float:
@@ -104,9 +97,7 @@ def pga_explained_variance(model: PgaModel, dataset: Sequence[GrassmannPoint], k
     total = float((coords**2).sum(axis=1).mean())
     if total <= 1e-24:
         raise UndefinedRatioError("zero total tangent variance")
-    if k == 0:
-        return 0.0
-    comp = _flatten_tangents(model.components[:k])
+    comp = _flatten_tangents(model.components)[:k]
     captured = float(((coords @ comp.T) ** 2).sum(axis=1).mean())
     return captured / total
 
@@ -114,43 +105,39 @@ def pga_explained_variance(model: PgaModel, dataset: Sequence[GrassmannPoint], k
 def spga_fit(dataset: Sequence[GrassmannPoint], labels, num_components: int) -> PgaModel:
     """Supervised PGA: supervised PCA in the tangent space at the Frechet mean (``Dataset.mean``).
 
-    The leading components are eigenvectors of T H K H T^H with T the
+    The leading components are eigenvectors of T^H H K H T with T the N x d
     tangent coordinate matrix, H the centering operator and K_ij = 1[y_i = y_j].
-    With c classes that operator has rank at most c - 1, so only its
-    eigenvectors up to its numerical rank (eigenvalues above 1e-10 times the
-    largest, at most c - 1) are kept. The remaining components are the
-    leading eigenvectors of the tangent covariance T^H T / N restricted to
-    the orthogonal complement of the kept ones, so no component is a
-    null-space vector chosen by eigensolver rounding.
+    K = E E^T for the N x c class indicator E, so that operator is the Gram
+    matrix B^H B of the c x d matrix B = E^T H T (the class sums of the
+    centered coordinates): its eigenvectors are B's right singular vectors
+    and its eigenvalues their squared singular values. Its rank is at most
+    c - 1, so only its eigenvectors up to its numerical rank (eigenvalues
+    above 1e-10 times the largest, at most c - 1) are kept. The remaining
+    components are the leading eigenvectors of the tangent covariance
+    T^H T / N restricted to the orthogonal complement of the kept ones, so
+    no component is a null-space vector chosen by rounding.
     ``component_variances`` holds the operator's eigenvalues (supervised
     objective scores, not captured variances), and 0 for the completion.
     """
     labels = np.asarray(labels)
     if labels.shape[0] != len(dataset):
         raise ShapeError("labels length does not match dataset")
-    n_classes = np.unique(labels).size
-    if n_classes < 2:
+    classes, codes = np.unique(labels, return_inverse=True)
+    if classes.size < 2:
         raise SupervisionDegenerateError("supervised PGA needs at least two classes")
     ds = as_dataset(dataset)
-    mean = ds.mean
-    coords = _tangent_coordinates(ds.stacked, mean)
-    n_pts = coords.shape[0]
-    _check_num_components(num_components, mean)
-    kernel = (labels[:, None] == labels[None, :]).astype(float)
-    centering = np.eye(n_pts) - np.ones((n_pts, n_pts)) / n_pts
-    operator = coords.T @ centering @ kernel @ centering @ coords
-    eigvals, eigvecs = np.linalg.eigh(0.5 * (operator + operator.T))
-    eigvals, eigvecs = eigvals[::-1], eigvecs[:, ::-1]
+    perp, coords = _tangent_frame(ds, num_components)
+    indicator = (codes[:, None] == np.arange(classes.size)).astype(float)
+    _, sing, vh = np.linalg.svd(indicator.T @ (coords - coords.mean(axis=0)))
+    eigvals = sing**2
     rank = int((eigvals > 1e-10 * eigvals[0]).sum()) if eigvals[0] > 0 else 0
-    rank = min(rank, n_classes - 1, num_components)
-    rest = eigvecs[:, rank:]
+    rank = min(rank, classes.size - 1, num_components)
+    rest = vh[rank:].T
     rest_coords = coords @ rest
     _, fill = np.linalg.eigh(rest_coords.T @ rest_coords)
-    vectors = np.concatenate([eigvecs[:, :rank], rest @ fill[:, ::-1][:, : num_components - rank]], axis=1)
-    variances = np.concatenate([np.clip(eigvals[:rank], 0.0, None), np.zeros(num_components - rank)])
-    raw = _unflatten_components(vectors.T, mean.basis.shape, np.iscomplexobj(mean.basis))
-    components = _horizontal_orthonormal(raw, mean)
-    return PgaModel(mean, components, variances)
+    vectors = np.concatenate([vh[:rank].T, rest @ fill[:, ::-1][:, : num_components - rank]], axis=1)
+    variances = np.concatenate([eigvals[:rank], np.zeros(num_components - rank)])
+    return PgaModel(ds.mean, _components(perp, vectors), variances)
 
 
 def pga_coordinates(model: PgaModel, dataset: Sequence[GrassmannPoint]) -> np.ndarray:
@@ -177,13 +164,8 @@ def pga_distances(model: PgaModel, dataset: Sequence[GrassmannPoint]) -> np.ndar
     return d
 
 
-def gknn_loo(
-    dataset: Sequence[GrassmannPoint],
-    labels,
-    k: int = 5,
-    metric: str = "geodesic",
-) -> tuple[float, np.ndarray]:
-    """Leave-one-out k-nearest-neighbor classification under a manifold metric.
+def gknn_loo(dataset: Sequence[GrassmannPoint], labels, k: int = 5) -> tuple[float, np.ndarray]:
+    """Leave-one-out k-nearest-neighbor classification under the geodesic distance.
 
     Each point is classified by the majority label among its k nearest other
     points; ties go to the class of the nearest tied neighbor. Returns the
@@ -195,7 +177,7 @@ def gknn_loo(
     if labels.shape[0] != n_pts:
         raise ShapeError("labels length does not match dataset")
     _check_k(k, n_pts)
-    distances = pairwise_distances(dataset, metric=metric)
+    distances = pairwise_distances(dataset)
     return knn_loo_from_distances(distances, labels, k)
 
 

@@ -29,6 +29,9 @@ EXP_TANGENT_ATOL = 1e-8
 EQUAL_ANGLE_TOL = 1e-9
 RANK_RTOL = 1e-12
 CUT_LOCUS_MARGIN = 1e-6
+# The Karcher iteration of ``frechet_mean`` stops at this gradient norm, or fails after this many sweeps.
+KARCHER_TOL = 1e-9
+KARCHER_MAX_ITER = 1000
 
 REAL_DTYPE = np.float64
 COMPLEX_DTYPE = np.complex128
@@ -328,10 +331,12 @@ def _batched_log_mats(base: np.ndarray, stacked: np.ndarray) -> np.ndarray:
 def pairwise_distances(points: Sequence[GrassmannPoint], metric: str = "geodesic") -> np.ndarray:
     """Symmetric N x N distance matrix under the chosen metric, zero diagonal; ``points`` goes through ``as_dataset``.
 
-    Fills ``_ROW_BLOCK`` rows at a time from the Gram block X_I^H [X_1 ... X_N] of the column layout: for
-    p = 1 the cosine is the modulus of the inner product, for p > 1 the batched SVD of the p x p blocks
-    gives the cosines. Angles, squares and roots are taken in place on those rows, then d = (d + d^T) / 2
-    over block pairs, so one call holds the result plus O(_ROW_BLOCK * N) scalars.
+    Fills the upper triangle ``_ROW_BLOCK`` rows at a time: rows I from column I onward, from the Gram
+    block X_I^H [X_I ... X_N] of the column layout. For p = 1 the cosine is the modulus of the inner
+    product, for p > 1 the batched SVD of the p x p blocks gives the cosines. Angles, squares and roots
+    are taken in place on those rows. Each block's part right of its diagonal square is mirrored below
+    it, and the square itself is rebuilt from its strict upper triangle, so d is exactly symmetric with
+    a zero diagonal, and one call holds the result plus O(_ROW_BLOCK * N) scalars.
     """
     if metric not in ("geodesic", "projection"):
         raise ShapeError(f"unknown metric {metric!r}")
@@ -340,12 +345,13 @@ def pairwise_distances(points: Sequence[GrassmannPoint], metric: str = "geodesic
     flat = _columns(stacked)
     d = np.empty((n_pts, n_pts))
     for start in range(0, n_pts, _ROW_BLOCK):
-        rows = d[start : start + _ROW_BLOCK]
-        gram = adjoint(flat[:, start * p : (start + len(rows)) * p]) @ flat
+        stop = min(start + _ROW_BLOCK, n_pts)
+        rows = d[start:stop, start:]
+        gram = adjoint(flat[:, start * p : stop * p]) @ flat[:, start * p :]
         if p == 1:
             theta = _angles_from_cosines(np.abs(gram, out=rows))
         else:
-            blocks = gram.reshape(len(rows), p, n_pts, p).transpose(0, 2, 1, 3)
+            blocks = gram.reshape(stop - start, p, n_pts - start, p).transpose(0, 2, 1, 3)
             theta = _angles_from_cosines(np.linalg.svd(blocks, compute_uv=False))
         if metric == "projection":
             np.sin(theta, out=theta)
@@ -353,12 +359,9 @@ def pairwise_distances(points: Sequence[GrassmannPoint], metric: str = "geodesic
         if p > 1:
             theta.sum(axis=-1, out=rows)
         np.sqrt(rows, out=rows)
-    for start in range(0, n_pts, _ROW_BLOCK):
-        stop = min(start + _ROW_BLOCK, n_pts)
-        upper = 0.5 * (d[start:stop, start:] + d[start:, start:stop].T)
-        d[start:stop, start:] = upper
-        d[start:, start:stop] = upper.T
-    np.fill_diagonal(d, 0.0)
+        d[stop:, start:stop] = d[start:stop, stop:].T
+        upper = np.triu(d[start:stop, start:stop], 1)
+        np.add(upper, upper.T, out=d[start:stop, start:stop])
     return d
 
 
@@ -411,11 +414,7 @@ def _leading_left_singular_vectors(stacked: np.ndarray, k: int) -> np.ndarray:
     return u[:, :k].copy()
 
 
-def frechet_mean(
-    points: Sequence[GrassmannPoint],
-    tol: float = 1e-9,
-    max_iter: int = 1000,
-) -> GrassmannPoint:
+def frechet_mean(points: Sequence[GrassmannPoint]) -> GrassmannPoint:
     """Karcher mean: fixed point of mu <- exp_mu(mean_i log_mu(X_i)).
 
     Starts at the extrinsic mean, the span of the p leading left singular
@@ -424,19 +423,19 @@ def frechet_mean(
     Inside the ball where the mean is unique (Afsari 2011) the iteration
     converges to it; beyond it the start selects the stationary point.
     Always takes the unit step and returns once the gradient norm drops to
-    ``tol``. Raises ConvergenceError (carrying the last iterate) after
-    ``max_iter`` sweeps. The log map is defined on the whole manifold, so
-    no point raises CutLocusError. ``Dataset.mean`` keeps this mean.
+    ``KARCHER_TOL``. Raises ConvergenceError (carrying the last iterate)
+    after ``KARCHER_MAX_ITER`` sweeps. The log map is defined on the whole
+    manifold, so no point raises CutLocusError. ``Dataset.mean`` keeps this mean.
     """
     stacked = as_dataset(points).stacked
     mu = _leading_left_singular_vectors(stacked, stacked.shape[2])
-    for _ in range(max_iter):
+    for _ in range(KARCHER_MAX_ITER):
         g = _batched_log_mats(mu, stacked).mean(axis=0)
-        if np.linalg.norm(g) <= tol:
+        if np.linalg.norm(g) <= KARCHER_TOL:
             return GrassmannPoint(mu)
         mu = _exp_basis(mu, g)
     raise ConvergenceError(
-        f"Karcher iteration did not reach gradient norm {tol:.1e} in {max_iter} steps",
+        f"Karcher iteration did not reach gradient norm {KARCHER_TOL:.1e} in {KARCHER_MAX_ITER} steps",
         result=GrassmannPoint(mu),
     )
 
@@ -479,7 +478,7 @@ class Dataset(Sequence):
 
     @property
     def mean(self) -> GrassmannPoint:
-        """The Karcher mean, from ``frechet_mean`` with its defaults."""
+        """The Karcher mean, from ``frechet_mean``."""
         if isinstance(self._mean, ConvergenceError):
             raise self._mean
         return self._mean

@@ -113,6 +113,24 @@ def test_components_bounded_by_the_tangent_dimension(field, method):
         fit(dim + 1)
 
 
+
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize(("n", "p", "count", "field"), ((4, 2, 2, "real"), (8, 3, 4, "complex")))
+@pytest.mark.parametrize("method", ("pga", "spga"))
+def test_rank_deficient_fit_is_horizontal_and_orthonormal(method, n, p, count, field, seed):
+    # N - 1 < k = tangent dimension: most components span directions that no
+    # data point reaches, so nothing but their construction keeps them in the
+    # tangent space at the mean.
+    rng = np.random.default_rng(seed)
+    pts = g.Dataset([g.sample_stiefel_uniform(n, p, field, rng=rng) for _ in range(count)])
+    dim = p * (n - p) * (2 if field == "complex" else 1)
+    labels = [0, 1] * (count // 2)
+    model = g.pga_fit(pts, dim) if method == "pga" else g.spga_fit(pts, labels, dim)
+    assert np.abs(adjoint(model.mean.basis) @ model.components).max() <= 1e-14
+    flat = _flatten_tangents(model.components)
+    assert np.abs(flat @ flat.T - np.eye(dim)).max() <= 1e-13
+    assert abs(g.pga_explained_variance(model, pts, dim) - 1.0) <= 1e-12
+
 class TestSpga:
     def _planted(self, rng, sep=0.3, noise=0.08, per_class=20, n=6):
         mu = g.GrassmannPoint(np.eye(n)[:, [0]])
@@ -236,7 +254,7 @@ class TestGknn:
         pts = [g.sample_stiefel_uniform(5, 2, rng=rng) for _ in range(8)]
         labels = np.asarray([0, 1] * 4)
         for metric in ("geodesic", "projection"):
-            acc, preds = g.gknn_loo(pts, labels, k=3, metric=metric)
+            acc, preds = knn_loo_from_distances(g.pairwise_distances(pts, metric), labels, 3)
             assert 0.0 <= acc <= 1.0
             assert preds.shape == (8,)
 
