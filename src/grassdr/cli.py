@@ -365,7 +365,15 @@ def build_parser() -> argparse.ArgumentParser:
     _add_optimizer_options(synth)
     synth.set_defaults(func=cmd_synth)
 
-    shapes = subs.add_parser("shapes", help="shape pipeline: convert, reduce, classify")
+    shapes = subs.add_parser(
+        "shapes",
+        help="shape pipeline: convert, reduce, classify",
+        description="Map the landmark file to Gr(1, C^(k-1)), fit and compare the methods, and write one row "
+        "per method with its LOO kNN accuracy (labeled files) and explained variance. A nested row's "
+        "explained variance is the Frechet variance of the projected shapes over that of the shapes; for "
+        "the supervised sng row it is not a fraction and can exceed 1, because the map pulls the classes "
+        "apart. A PGA row's is the share of tangent variance in its first m components.",
+    )
     shapes.add_argument("landmarks")
     shapes.add_argument("-m", "--m", type=int, required=True, help="reduced manifold dimension (to Gr(1, m+1) over C)")
     shapes.add_argument("--knn", type=_positive_int, default=5)

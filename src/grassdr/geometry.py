@@ -38,9 +38,13 @@ COMPLEX_DTYPE = np.complex128
 
 # Cosines this close to one are pure rounding; snapping them makes coincident
 # subspaces measure exactly zero. Angles below arccos(1 - 1e-13) ~ 4.5e-7
-# flatten to zero as a result (``same_subspace`` and the log map use sines).
+# flatten to zero as a result (``same_subspace``, the log map and ``variance`` use sines).
 _COS_SNAP = 1e-13
 
+# A log map at the Karcher mean shorter than this is rounding: coincident bases measure up to about
+# 2.3e-15 (n <= 200, p <= 3), and ``variance`` counts such a point as zero. Its square, 1e-28, is far
+# below the zero-variance bound (1e-24) of ``nested.explained_variance_ratio``.
+_LOG_SNAP = 1e-14
 
 # Rows per step when an N x N matrix is filled or scanned: a call holds it plus O(_ROW_BLOCK * N) scalars.
 _ROW_BLOCK = 128
@@ -124,7 +128,7 @@ class GrassmannPoint:
         """
         _check_pair(self, other)
         residual = other.basis - self.basis @ (adjoint(self.basis) @ other.basis)
-        sines = np.linalg.svd(residual, compute_uv=False)
+        sines = _svd(residual, compute_uv=False)
         return bool(sines.max() < EQUAL_ANGLE_TOL)
 
     def __repr__(self) -> str:
@@ -144,8 +148,9 @@ class TangentVector:
             raise ShapeError(
                 f"tangent matrix shape {m.shape} does not match base {self.base.basis.shape}"
             )
-        if np.abs(adjoint(self.base.basis) @ m).max() > TANGENT_ATOL:
-            raise InvalidTangentError("matrix is not horizontal at the base point")
+        # A non-finite matrix fails before the product (which would warn), and "not <=" fails a NaN product.
+        if not np.isfinite(m).all() or not np.abs(adjoint(self.base.basis) @ m).max() <= TANGENT_ATOL:
+            raise InvalidTangentError("matrix is not a finite horizontal matrix at the base point")
         m.setflags(write=False)
         object.__setattr__(self, "mat", m)
 
@@ -174,7 +179,7 @@ def orthonormal_columns(m) -> np.ndarray:
     if not finite.all():
         i = np.flatnonzero(~finite.all(axis=(-2, -1)))[0]
         raise _degenerate_matrix(a, i, "has a NaN or infinite entry")
-    s = np.linalg.svd(a, compute_uv=False)
+    s = _svd(a, compute_uv=False)
     lo, hi = s[..., -1], s[..., 0]
     bad = np.flatnonzero((hi == 0.0) | (lo < RANK_RTOL * hi))
     if bad.size:
@@ -192,8 +197,49 @@ def _degenerate_matrix(a: np.ndarray, i: int, reason: str) -> DegenerateInputErr
     return DegenerateInputError(f"{what} {reason}", index=int(i) if a.ndim > 2 else None)
 
 
+def _column_svd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """U = a / |a| and S = |a| of an (..., n, 1) stack, as (..., n, 1) and (..., 1, 1), with no LAPACK call.
+
+    For n > 1 each column is first scaled by the power of two that brings its largest modulus into
+    [0.5, 1) (a subnormal column stops at 2^1022), so entries near 1e-300 or 1e300 neither underflow
+    nor overflow when squared, and a column scaled by a power of two gives the same U. The squared
+    norm sums re^2 + im^2 and U comes from a division, as in LAPACK's norm and QR. A single entry's
+    modulus (a hypot over C) needs no scaling. A zero column gives U = e_1 and S = 0, as LAPACK does.
+    """
+    if a.shape[-2] == 1:
+        scaled, scale, norms = a, 1.0, np.abs(a)
+    else:
+        _, e = np.frexp(np.abs(a).max(axis=-2, keepdims=True))
+        scale = np.ldexp(1.0, -np.maximum(e, -1022))
+        scaled = a * scale
+        norms = np.sqrt((scaled.conj() * scaled).real.sum(axis=-2, keepdims=True))
+    zero = norms == 0.0
+    u = scaled / np.where(zero, 1.0, norms)
+    u[..., :1, :] += zero
+    return u, norms / scale
+
+
+def _svd(m: np.ndarray, compute_uv: bool = True):
+    """``np.linalg.svd(m, full_matrices=False, compute_uv=compute_uv)`` of a matrix or an (..., n, p) stack.
+
+    A single column (p = 1) needs no factorization: U = m / |m|, S = |m| and V = 1, elementwise over
+    the stack (``_column_svd``). Every other shape goes to LAPACK.
+    """
+    if m.shape[-1] != 1:
+        return np.linalg.svd(m, full_matrices=False, compute_uv=compute_uv)
+    u, s = _column_svd(m)
+    if not compute_uv:
+        return s[..., 0]
+    return u, s[..., 0], np.ones(s.shape)
+
+
 def _canonical_qr(a: np.ndarray) -> np.ndarray:
-    """Q of the thin QR of a matrix or a stack of matrices, phased so diag(R) is real and nonnegative."""
+    """Q of the thin QR of a matrix or a stack of matrices, phased so diag(R) is real and nonnegative.
+
+    A single column's Q is a / |a| (``_column_svd``), with no LAPACK call.
+    """
+    if a.shape[-1] == 1:
+        return _column_svd(a)[0]
     q, r = np.linalg.qr(a)
     d = np.diagonal(r, axis1=-2, axis2=-1).copy()
     d[d == 0] = 1.0
@@ -219,7 +265,7 @@ def principal_angles(x: GrassmannPoint, y: GrassmannPoint) -> np.ndarray:
     (cosines within rounding of one snap to one, see _COS_SNAP).
     """
     _check_pair(x, y)
-    s = np.linalg.svd(adjoint(x.basis) @ y.basis, compute_uv=False)
+    s = _svd(adjoint(x.basis) @ y.basis, compute_uv=False)
     return _angles_from_cosines(s)
 
 
@@ -247,8 +293,8 @@ def exp_map(x: GrassmannPoint, h: TangentVector) -> GrassmannPoint:
     hm = _as_matrix(h.mat, "tangent")
     if hm.shape != x.basis.shape:
         raise ShapeError(f"tangent shape {hm.shape} does not match point {x!r}")
-    if np.abs(adjoint(x.basis) @ hm).max() > EXP_TANGENT_ATOL:
-        raise InvalidTangentError("tangent matrix is not horizontal at x")
+    if not np.isfinite(hm).all() or not np.abs(adjoint(x.basis) @ hm).max() <= EXP_TANGENT_ATOL:
+        raise InvalidTangentError("tangent matrix is not a finite horizontal matrix at x")
     if not np.any(hm):
         return x
     return GrassmannPoint(_exp_basis(x.basis, hm))
@@ -259,7 +305,7 @@ def _exp_basis(base: np.ndarray, h: np.ndarray) -> np.ndarray:
 
     ``base`` and ``h`` may be matching (N, n, p) stacks, one exp per matrix.
     """
-    u, s, vh = np.linalg.svd(h, full_matrices=False)
+    u, s, vh = _svd(h)
     s = s[..., None, :]
     return _canonical_qr((base @ adjoint(vh)) * np.cos(s) + u * np.sin(s))
 
@@ -272,7 +318,7 @@ def log_map(x: GrassmannPoint, y: GrassmannPoint) -> TangentVector:
     unique (the smallest singular value of X^H Y is at most sin(CUT_LOCUS_MARGIN)).
     """
     _check_pair(x, y)
-    smin = np.linalg.svd(adjoint(x.basis) @ y.basis, compute_uv=False)[-1]
+    smin = _svd(adjoint(x.basis) @ y.basis, compute_uv=False)[-1]
     if smin <= np.sin(CUT_LOCUS_MARGIN):
         raise CutLocusError(f"largest principal angle within {CUT_LOCUS_MARGIN:.1e} of pi/2")
     return TangentVector(x, _batched_log_mats(x.basis, y.basis[None])[0])
@@ -314,14 +360,15 @@ def stack_points(points: Sequence[GrassmannPoint]) -> np.ndarray:
 def _batched_log_mats(base: np.ndarray, stacked: np.ndarray) -> np.ndarray:
     """Log-map matrices of many points at one base, stacked as (N, n, p).
 
-    With the SVD X^H Y = U C V^H, the residual Y V - X U C = (I - X X^H) Y V
-    has orthogonal columns whose norms are the principal sines, and
+    With the SVD X^H Y = U C V^H (``_svd``, closed form for p = 1), the
+    residual Y V - X U C = (I - X X^H) Y V has orthogonal columns whose
+    norms are the principal sines, and
     H = resid diag(theta / sin) U^H with theta = arctan2(sin, C) (Bendokat,
     Zimmermann & Absil, "A Grassmann manifold handbook"). There is no
     inverse, so a point on the cut locus (theta = pi/2) maps to one of its
     minimizing geodesics, and small angles come from sines.
     """
-    u, c, vh = np.linalg.svd(adjoint(base) @ stacked)
+    u, c, vh = _svd(adjoint(base) @ stacked)
     resid = stacked @ adjoint(vh) - base @ (u * c[:, None, :])
     sin = np.linalg.norm(resid, axis=1)
     ratio = np.divide(np.arctan2(sin, c), sin, out=np.ones_like(sin), where=sin > 0)
@@ -352,7 +399,7 @@ def pairwise_distances(points: Sequence[GrassmannPoint], metric: str = "geodesic
             theta = _angles_from_cosines(np.abs(gram, out=rows))
         else:
             blocks = gram.reshape(stop - start, p, n_pts - start, p).transpose(0, 2, 1, 3)
-            theta = _angles_from_cosines(np.linalg.svd(blocks, compute_uv=False))
+            theta = _angles_from_cosines(_svd(blocks, compute_uv=False))
         if metric == "projection":
             np.sin(theta, out=theta)
         np.square(theta, out=theta)
@@ -410,7 +457,7 @@ def _leading_left_singular_vectors(stacked: np.ndarray, k: int) -> np.ndarray:
     flat = _columns(stacked)
     if flat.shape[1] < k:
         flat = np.pad(flat, ((0, 0), (0, k - flat.shape[1])))
-    u, _, _ = np.linalg.svd(flat, full_matrices=False)
+    u, _, _ = _svd(flat)
     return u[:, :k].copy()
 
 
@@ -441,10 +488,17 @@ def frechet_mean(points: Sequence[GrassmannPoint]) -> GrassmannPoint:
 
 
 def variance(points: Sequence[GrassmannPoint]) -> float:
-    """Frechet variance: mean squared geodesic distance to the Karcher mean (``Dataset.variance`` keeps it)."""
+    """Frechet variance: mean squared geodesic distance to the Karcher mean (``Dataset.variance`` keeps it).
+
+    The mean of ||log_mu X_i||_F^2 over the batched log map of the Karcher sweep, that is of
+    sum(theta^2) with theta = arctan2(sin, cos), so small spreads keep their size; a squared norm
+    below ``_LOG_SNAP``^2 counts as zero.
+    """
     ds = as_dataset(points)
-    s = np.linalg.svd(adjoint(ds.mean.basis) @ ds.stacked, compute_uv=False)
-    return float((_angles_from_cosines(s) ** 2).sum(axis=-1).mean())
+    logs = _batched_log_mats(ds.mean.basis, ds.stacked)
+    d2 = (logs.conj() * logs).real.sum(axis=(1, 2))
+    d2[d2 < _LOG_SNAP**2] = 0.0
+    return float(d2.mean())
 
 
 class Dataset(Sequence):

@@ -12,7 +12,7 @@ from grassdr.errors import (
     InvalidTangentError,
     ShapeError,
 )
-from grassdr.geometry import _COS_SNAP, _batched_log_mats, _leading_left_singular_vectors, adjoint
+from grassdr.geometry import _COS_SNAP, _batched_log_mats, _canonical_qr, _leading_left_singular_vectors, _svd, adjoint
 
 FIELDS = ("real", "complex")
 
@@ -32,12 +32,14 @@ def projector_distance(x, y):
     return float(np.linalg.norm(px - py)) / np.sqrt(2.0)
 
 
+def gaussian_stack(rng, shape, field="real"):
+    z = rng.standard_normal(shape)
+    return z + 1j * rng.standard_normal(shape) if field == "complex" else z
+
+
 def random_stack(rng, count, n, p, field="real"):
     """(count, n, p) orthonormal bases of Gaussian draws, one batched QR."""
-    z = rng.standard_normal((count, n, p))
-    if field == "complex":
-        z = z + 1j * rng.standard_normal((count, n, p))
-    return g.orthonormal_columns(z)
+    return g.orthonormal_columns(gaussian_stack(rng, (count, n, p), field))
 
 
 def pairwise_distances_reference(stacked, metric):
@@ -59,6 +61,31 @@ def log_mats_by_inverse(base, stacked):
     u, s, vh = np.linalg.svd((stacked - base @ m) @ np.linalg.inv(m), full_matrices=False)
     h = (u * np.arctan(s)[:, None, :]) @ vh
     return h - base @ (adjoint(base) @ h)
+
+
+def canonical_qr_by_lapack(a):
+    """Q of ``np.linalg.qr`` phased so that diag(R) is real and nonnegative."""
+    q, r = np.linalg.qr(a)
+    d = np.diagonal(r, axis1=-2, axis2=-1).copy()
+    d[d == 0] = 1.0
+    return q * np.conj(d / np.abs(d))[..., None, :]
+
+
+def frechet_mean_by_lapack(stacked):
+    """The Karcher iteration of ``frechet_mean`` with every SVD and QR taken by LAPACK."""
+    flat = stacked.transpose(1, 0, 2).reshape(stacked.shape[1], -1)
+    mu = np.linalg.svd(flat, full_matrices=False)[0][:, : stacked.shape[2]]
+    for _ in range(geometry.KARCHER_MAX_ITER):
+        u, c, vh = np.linalg.svd(adjoint(mu) @ stacked)
+        resid = stacked @ adjoint(vh) - mu @ (u * c[:, None, :])
+        sin = np.linalg.norm(resid, axis=1)
+        ratio = np.divide(np.arctan2(sin, c), sin, out=np.ones_like(sin), where=sin > 0)
+        grad = (resid @ (ratio[:, :, None] * adjoint(u))).mean(axis=0)
+        if np.linalg.norm(grad) <= geometry.KARCHER_TOL:
+            return mu
+        hu, hs, hvh = np.linalg.svd(grad, full_matrices=False)
+        mu = canonical_qr_by_lapack((mu @ adjoint(hvh)) * np.cos(hs) + hu * np.sin(hs))
+    raise AssertionError("the reference Karcher iteration did not converge")
 
 
 def angles_oracle(x, y):
@@ -107,13 +134,14 @@ class TestOrthonormalize:
     @pytest.mark.parametrize("field", FIELDS)
     def test_stack_matches_each_matrix(self, field):
         rng = np.random.default_rng(5)
-        m = rng.standard_normal((4, 3, 6, 2))
-        if field == "complex":
-            m = m + 1j * rng.standard_normal(m.shape)
-        got = g.orthonormal_columns(m)
-        assert got.shape == m.shape
-        for idx in np.ndindex(m.shape[:2]):
-            assert np.array_equal(got[idx], g.orthonormal_columns(m[idx]))
+        for p in (2, 1):  # p = 1 takes the closed form
+            m = rng.standard_normal((4, 3, 6, p))
+            if field == "complex":
+                m = m + 1j * rng.standard_normal(m.shape)
+            got = g.orthonormal_columns(m)
+            assert got.shape == m.shape
+            for idx in np.ndindex(m.shape[:2]):
+                assert np.array_equal(got[idx], g.orthonormal_columns(m[idx]))
 
     def test_stack_error_names_the_rank_deficient_index(self):
         m = np.random.default_rng(6).standard_normal((5, 4, 2))
@@ -146,6 +174,56 @@ class TestOrthonormalize:
     def test_non_finite_basis_rejected(self, bad):
         with pytest.raises(DegenerateInputError):
             g.GrassmannPoint(np.array([[bad], [0.0], [1.0]]))
+
+
+class TestSingleColumnClosedForms:
+    """``_svd`` and ``_canonical_qr`` of (N, n, 1) stacks, which need no LAPACK call, against LAPACK."""
+
+    @pytest.mark.parametrize("field", FIELDS)
+    @pytest.mark.parametrize("n", (1, 2, 10, 99))
+    def test_match_lapack(self, field, n):
+        rng = np.random.default_rng(40 + n)
+        a = gaussian_stack(rng, (50, n, 1), field)
+        u, s, vh = _svd(a)
+        assert u.shape == a.shape and s.shape == (50, 1) and np.array_equal(vh, np.ones((50, 1, 1)))
+        assert np.abs(s / np.linalg.svd(a, compute_uv=False) - 1.0).max() <= 1e-15
+        assert np.array_equal(_svd(a, compute_uv=False), s)
+        u_lapack = np.linalg.svd(a, full_matrices=False)[0]
+        assert np.abs(np.abs(adjoint(u) @ u_lapack) - 1.0).max() <= 1e-15  # the same span
+        assert np.abs((u * s[:, None, :]) @ vh - a).max() <= 1e-15 * s.max()
+        assert np.abs(_canonical_qr(a) - canonical_qr_by_lapack(a)).max() <= 1e-15
+
+    def test_wider_matrices_go_to_lapack(self):
+        a = gaussian_stack(np.random.default_rng(41), (5, 6, 2), "complex")
+        for got, want in zip(_svd(a), np.linalg.svd(a, full_matrices=False), strict=True):
+            assert np.array_equal(got, want)
+        assert np.array_equal(_canonical_qr(a), canonical_qr_by_lapack(a))
+
+    @pytest.mark.parametrize("field", FIELDS)
+    @pytest.mark.parametrize("n", (1, 4))
+    def test_zero_column(self, field, n):
+        a = gaussian_stack(np.random.default_rng(42), (3, n, 1), field)
+        a[1] = 0.0
+        u, s, _ = _svd(a)
+        assert s[1, 0] == 0.0 and s[[0, 2], 0].min() > 0.0
+        assert np.array_equal(u[1], np.eye(n)[:, :1])  # e_1, a unit vector, as LAPACK gives
+        assert np.array_equal(_canonical_qr(a)[1], np.eye(n)[:, :1])
+        assert np.array_equal(_canonical_qr(a)[1], canonical_qr_by_lapack(a[1]))
+
+    @pytest.mark.parametrize("field", FIELDS)
+    @pytest.mark.parametrize("n", (1, 7))
+    @pytest.mark.parametrize("scale", (1e-300, 1e300))
+    def test_extreme_scales(self, field, n, scale):
+        # The suite turns an overflow or underflow RuntimeWarning into an error.
+        a = gaussian_stack(np.random.default_rng(43), (20, n, 1), field)
+        u, s, _ = _svd(a * scale)
+        u1, s1, _ = _svd(a)
+        assert np.abs(s / (s1 * scale) - 1.0).max() <= 1e-15
+        assert np.abs(u - u1).max() <= 1e-15
+        assert np.abs(_canonical_qr(a * scale) - canonical_qr_by_lapack(a)).max() <= 1e-15
+        for power in (2.0**-1000, 2.0**1000):  # a power of two changes nothing, bit for bit
+            assert np.array_equal(_canonical_qr(a * power), _canonical_qr(a))
+            assert np.array_equal(_svd(a * power, compute_uv=False), s1 * power)
 
 
 class TestPrincipalAngles:
@@ -372,6 +450,17 @@ class TestExpLog:
         with pytest.raises(CutLocusError):
             g.log_map(x, y)
 
+    @pytest.mark.parametrize("p", (1, 2))
+    @pytest.mark.parametrize("bad", (np.nan, np.inf))
+    def test_non_finite_tangent_rejected(self, p, bad):
+        x = random_point(np.random.default_rng(17), 6, p)
+        with pytest.raises(InvalidTangentError):
+            g.TangentVector(x, np.full((6, p), bad))
+        h = g.TangentVector(x, np.zeros((6, p)))
+        object.__setattr__(h, "mat", np.full((6, p), bad))  # past the constructor's check
+        with pytest.raises(InvalidTangentError):
+            g.exp_map(x, h)
+
     def test_invalid_tangent_rejected(self):
         rng = np.random.default_rng(17)
         x = random_point(rng, 5, 2)
@@ -470,6 +559,15 @@ class TestFrechetMean:
     def test_empty_rejected(self):
         with pytest.raises(ShapeError):
             g.frechet_mean([])
+
+    @pytest.mark.parametrize("field,n,count", [("real", 10, 50), ("complex", 49, 40)])
+    def test_single_column_matches_the_lapack_iteration(self, field, n, count):
+        rng = np.random.default_rng(27)
+        line = gaussian_stack(rng, (n, 1), field)
+        stacked = g.orthonormal_columns(line + 0.3 * gaussian_stack(rng, (count, n, 1), field))
+        mu, ref = g.frechet_mean(stacked).basis, frechet_mean_by_lapack(stacked)
+        # The two bases may differ by a unit factor, so compare spans: the sine between them.
+        assert np.linalg.norm(ref - mu @ (adjoint(mu) @ ref)) <= 1e-12
 
 
 class TestDataset:

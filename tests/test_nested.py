@@ -674,6 +674,19 @@ class TestVariance:
         with pytest.raises(UndefinedRatioError):
             g.explained_variance_ratio(nmap, [x, x, x])
 
+    def test_small_spread_keeps_its_size(self):
+        # 20 points within 1e-8 of one line in R^8: the arccos of snapped cosines measured exactly 0.
+        rng = np.random.default_rng(34)
+        line = rng.standard_normal((8, 1))
+        ds = g.Dataset(g.orthonormal_columns(line / np.linalg.norm(line) + 1e-8 * rng.standard_normal((20, 8, 1))))
+        mu = ds.mean.basis
+        cos = np.abs(adjoint(mu) @ ds.stacked)[:, 0, 0]
+        sin = np.linalg.norm(ds.stacked - mu @ (adjoint(mu) @ ds.stacked), axis=(1, 2))
+        reference = np.mean(np.arctan2(sin, cos) ** 2)
+        assert reference > 1e-16
+        assert abs(g.variance(ds) / reference - 1.0) < 1e-6
+        assert np.isfinite(g.explained_variance_ratio(random_map(rng, 8, 3, 1), ds))
+
     def test_unitary_map_ratio_one(self):
         rng = np.random.default_rng(33)
         pts = random_dataset(rng, 6, 5, 2)
