@@ -179,7 +179,11 @@ def orthonormal_columns(m) -> np.ndarray:
     if not finite.all():
         i = np.flatnonzero(~finite.all(axis=(-2, -1)))[0]
         raise _degenerate_matrix(a, i, "has a NaN or infinite entry")
-    s = _svd(a, compute_uv=False)
+    if p == 1:
+        q, s = _column_svd(a)
+        s = s[..., 0]
+    else:
+        q, s = None, np.linalg.svd(a, compute_uv=False)
     lo, hi = s[..., -1], s[..., 0]
     bad = np.flatnonzero((hi == 0.0) | (lo < RANK_RTOL * hi))
     if bad.size:
@@ -187,7 +191,7 @@ def orthonormal_columns(m) -> np.ndarray:
         raise _degenerate_matrix(
             a, i, f"is numerically rank deficient (singular values {lo.flat[i]:.3e} vs {hi.flat[i]:.3e})"
         )
-    return _canonical_qr(a)
+    return _canonical_qr(a) if q is None else q
 
 
 def _degenerate_matrix(a: np.ndarray, i: int, reason: str) -> DegenerateInputError:
@@ -473,18 +477,49 @@ def frechet_mean(points: Sequence[GrassmannPoint]) -> GrassmannPoint:
     ``KARCHER_TOL``. Raises ConvergenceError (carrying the last iterate)
     after ``KARCHER_MAX_ITER`` sweeps. The log map is defined on the whole
     manifold, so no point raises CutLocusError. ``Dataset.mean`` keeps this mean.
+    Single-column data (p = 1) sweep on the n x N column matrix (``_karcher_step_columns``).
     """
     stacked = as_dataset(points).stacked
-    mu = _leading_left_singular_vectors(stacked, stacked.shape[2])
+    p = stacked.shape[2]
+    mu = _leading_left_singular_vectors(stacked, p)
+    data, step = (_columns(stacked), _karcher_step_columns) if p == 1 else (stacked, _karcher_step_stacked)
     for _ in range(KARCHER_MAX_ITER):
-        g = _batched_log_mats(mu, stacked).mean(axis=0)
-        if np.linalg.norm(g) <= KARCHER_TOL:
+        mu_next = step(mu, data)
+        if mu_next is None:
             return GrassmannPoint(mu)
-        mu = _exp_basis(mu, g)
+        mu = mu_next
     raise ConvergenceError(
         f"Karcher iteration did not reach gradient norm {KARCHER_TOL:.1e} in {KARCHER_MAX_ITER} steps",
         result=GrassmannPoint(mu),
     )
+
+
+def _karcher_step_stacked(mu: np.ndarray, stacked: np.ndarray) -> np.ndarray | None:
+    """One Karcher sweep at ``mu`` over an (N, n, p) stack: exp_mu of the mean log map, or None at ``KARCHER_TOL``."""
+    g = _batched_log_mats(mu, stacked).mean(axis=0)
+    return None if np.linalg.norm(g) <= KARCHER_TOL else _exp_basis(mu, g)
+
+
+def _karcher_step_columns(mu: np.ndarray, x: np.ndarray) -> np.ndarray | None:
+    """``_karcher_step_stacked`` for p = 1 on the n x N column matrix ``x``, one number per point.
+
+    With c = mu^H X and u = c / |c| (u = 1 where c = 0, LAPACK's rule for a zero column), the log map of X_i
+    is resid_i theta_i / sin_i, where resid_i = X_i conj(u_i) - mu |c_i| has norm sin_i and
+    theta_i = arctan2(sin_i, |c_i|). The mean log g is one GEMV, and the step is
+    mu cos|g| + g sin|g| / |g|, divided by its norm (about 1, as g is orthogonal to mu).
+    """
+    c = (adjoint(mu) @ x)[0]
+    cos = np.abs(c)
+    u = np.divide(c, cos, out=np.ones_like(c), where=cos > 0)
+    resid = x * u.conj() - mu * cos
+    sin = np.linalg.norm(resid, axis=0)
+    ratio = np.divide(np.arctan2(sin, cos), sin, out=np.ones_like(sin), where=sin > 0)
+    g = resid @ (ratio / len(ratio))
+    norm = np.linalg.norm(g)
+    if norm <= KARCHER_TOL:
+        return None
+    step = mu * np.cos(norm) + g[:, None] * (np.sin(norm) / norm)
+    return step / np.linalg.norm(step)
 
 
 def variance(points: Sequence[GrassmannPoint]) -> float:

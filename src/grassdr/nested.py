@@ -190,6 +190,26 @@ def _check_metric(metric: str) -> None:
         raise ShapeError(f"unknown metric {metric!r}; expected one of {METRICS}")
 
 
+def _hermitian_eigh(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.linalg.eigh`` of a stack of Hermitian p x p matrices.
+
+    A 1 x 1 matrix needs no LAPACK call: its eigenvalue is its real entry and its eigenvector is 1,
+    which is what LAPACK returns for it.
+    """
+    if h.shape[-1] == 1:
+        return h.real[..., 0], np.ones_like(h)
+    return np.linalg.eigh(h)
+
+
+def _geodesic_terms(lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """theta^2 = arccos(sqrt(lambda))^2 of squared cosines ``lam`` and its derivative in lambda, elementwise."""
+    lam = np.clip(lam, 0.0, 1.0)
+    theta = np.arccos(np.sqrt(lam))
+    sin_theta = np.sqrt(np.clip(1.0 - lam, 0.0, 1.0))
+    ratio = np.where(sin_theta > 1e-12, theta / np.where(sin_theta > 1e-12, sin_theta, 1.0), 1.0)
+    return theta**2, -ratio / np.sqrt(np.clip(lam, _LAMBDA_FLOOR, 1.0))
+
+
 def _geodesic_spectrum(phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Squared geodesic distances and the gradient factor Psi = d/dPhi of each.
 
@@ -197,24 +217,22 @@ def _geodesic_spectrum(phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     are squared principal-angle cosines; the distance is
     sum(arccos(sqrt(lambda))^2) and Psi shares Phi's eigenvectors.
     """
-    lam, vec = np.linalg.eigh(phi)
-    lam = np.clip(lam, 0.0, 1.0)
-    theta = np.arccos(np.sqrt(lam))
-    values = (theta**2).sum(axis=-1)
-    sin_theta = np.sqrt(np.clip(1.0 - lam, 0.0, 1.0))
-    ratio = np.where(sin_theta > 1e-12, theta / np.where(sin_theta > 1e-12, sin_theta, 1.0), 1.0)
-    dphi = -ratio / np.sqrt(np.clip(lam, _LAMBDA_FLOOR, 1.0))
+    lam, vec = _hermitian_eigh(phi)
+    theta2, dphi = _geodesic_terms(lam)
     psi = (vec * dphi[..., None, :]) @ adjoint(vec)
-    return values, psi
+    return theta2.sum(axis=-1), psi
+
+
+def _rank_deficient(index: int, what: str) -> DegenerateProjectionError:
+    return DegenerateProjectionError(f"data point {index}: {what} is numerically rank deficient", index=index)
 
 
 def _checked_inverse(w: np.ndarray, what: str) -> np.ndarray:
     """Inverses of a stack of Hermitian Gram matrices, rejecting numerically singular ones."""
-    lam, vec = np.linalg.eigh(w)
+    lam, vec = _hermitian_eigh(w)
     bad = lam[:, 0] <= _COND_FLOOR * np.maximum(lam[:, -1], np.finfo(float).tiny)
     if bad.any():
-        index = int(np.argmax(bad))
-        raise DegenerateProjectionError(f"data point {index}: {what} is numerically rank deficient", index=index)
+        raise _rank_deficient(int(np.argmax(bad)), what)
     return (vec / lam[:, None, :]) @ adjoint(vec)
 
 
@@ -229,11 +247,21 @@ def unsupervised_loss_and_grad(
     Phi_i = S_i^H W_i^{-1} S_i, in the reduced coordinates of the module
     docstring, has the squared cosines of the angles between X_i and its
     reconstruction span(M_i) as its spectrum. The gradients follow
-    dL = Re tr(G^H dM) and are exact for any (A, B-tilde).
+    dL = Re tr(G^H dM) and are exact for any (A, B-tilde). Single-column
+    data (p = 1) take ``_unsupervised_columns``, with one number per point;
+    every other p takes ``_unsupervised_stacked``.
     """
     _check_metric(metric)
     a = np.asarray(a)
     b_tilde = np.asarray(b_tilde, dtype=a.dtype)
+    kernel = _unsupervised_columns if stacked.shape[2] == 1 else _unsupervised_stacked
+    return kernel(a, b_tilde, stacked, metric)
+
+
+def _unsupervised_stacked(
+    a: np.ndarray, b_tilde: np.ndarray, stacked: np.ndarray, metric: str
+) -> tuple[float, tuple[np.ndarray, np.ndarray]]:
+    """``unsupervised_loss_and_grad`` on the (N, p, p) blocks S_i, W_i and Phi_i, for any p."""
     (n_pts, _, p), m = stacked.shape, a.shape[1]
     ab_h = adjoint(np.concatenate((a, b_tilde), axis=1))
     x_flat = _columns(stacked)
@@ -256,18 +284,65 @@ def unsupervised_loss_and_grad(
     # With T_i = W_i^{-1} S_i Psi_i: dL/dS_i = 2 T_i / N, dL/dW_i = -T_i (W_i^{-1} S_i)^H / N.
     s_bar = (2.0 / n_pts) * t
     w_bar = (-1.0 / n_pts) * (t @ adjoint(winv_s))
-    beta_bar = w_bar.sum(axis=0)
     # Columns [Y-bar_i; V-bar_i]: V-bar_i = dL/dS_i, Y-bar_i = Y_i (S-bar_i^H + S-bar_i + 2 W-bar_i) - c S-bar_i.
     bars = np.empty((m + p, n_pts, p), dtype=yv.dtype)
     bars[m:] = s_bar.transpose(1, 0, 2)
     np.matmul(y, adjoint(s_bar) + s_bar + 2.0 * w_bar, out=bars[:m].transpose(1, 0, 2))
-    bars = bars.reshape(m + p, -1)
+    return loss, _unsupervised_gradients(a, b_tilde, c, x_flat, bars.reshape(m + p, -1), w_bar.sum(axis=0))
+
+
+def _unsupervised_columns(
+    a: np.ndarray, b_tilde: np.ndarray, stacked: np.ndarray, metric: str
+) -> tuple[float, tuple[np.ndarray, np.ndarray]]:
+    """``unsupervised_loss_and_grad`` for single-column data (p = 1), on the n x N column matrix X.
+
+    Every p x p block is a number: with Y = A^H X (m x N) and v = B-tilde^H X, S_i = |Y_i|^2 - c^H Y_i + v_i,
+    W_i = |Y_i|^2 - c^H c + beta is real, Phi_i = |S_i|^2 / W_i, and the geodesic derivative is elementwise.
+    """
+    x_flat, m = _columns(stacked), a.shape[1]
+    n_pts = x_flat.shape[1]
+    ab_h = adjoint(np.concatenate((a, b_tilde), axis=1))
+    yv, gram = ab_h @ x_flat, ab_h @ b_tilde
+    y, c = yv[:m], gram[:m]
+    yy = (y.conj() * y).real.sum(axis=0)
+    s = yy - (adjoint(c) @ y)[0] + yv[m]
+    w = yy + (gram[m, 0] - np.vdot(c, c)).real
+    # The stacked path's rank test at p = 1, written as "not >" so that a NaN W fails it too.
+    ok = w > _COND_FLOOR * np.maximum(w, np.finfo(float).tiny)
+    if not ok.all():
+        raise _rank_deficient(int(np.argmin(ok)), "reconstruction")
+    r = s / w  # W_i^{-1} S_i
+    r2 = (r.conj() * r).real
+    phi = w * r2  # |S_i|^2 / W_i
+    if metric == "projection":
+        values, psi = np.maximum(1.0 - phi, 0.0), -1.0  # loss 1 - Phi_i, so dL/dPhi_i = -1
+    else:
+        values, psi = _geodesic_terms(phi)
+    loss = float(values.sum()) / n_pts
+
+    # The stacked path's S-bar_i = 2 psi_i r_i / N and W-bar_i = -psi_i |r_i|^2 / N, so the Y-bar rows
+    # hold Y_i (S-bar_i^H + S-bar_i + 2 W-bar_i) = Y_i 2 psi_i (2 Re r_i - |r_i|^2) / N.
+    bars = np.empty((m + 1, n_pts), dtype=yv.dtype)
+    np.multiply((2.0 / n_pts) * psi, r, out=bars[m])
+    np.multiply(y, (2.0 / n_pts) * psi * (2.0 * r.real - r2), out=bars[:m])
+    beta_bar = np.full((1, 1), -np.sum(psi * r2) / n_pts)
+    return loss, _unsupervised_gradients(a, b_tilde, c, x_flat, bars, beta_bar)
+
+
+def _unsupervised_gradients(
+    a: np.ndarray, b_tilde: np.ndarray, c: np.ndarray, x_flat: np.ndarray, bars: np.ndarray, beta_bar: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """(G_A, G_B) from the columns [Y_i (S-bar_i^H + S-bar_i + 2 W-bar_i); V-bar_i] of ``bars`` and beta-bar.
+
+    Subtracts c S-bar_i from the Y-bar rows in place, then G_A = X Y-bar^H + B-tilde c-bar^H and
+    G_B = X V-bar^H + A c-bar + 2 B-tilde beta-bar, with c-bar = -sum_i Y_i S-bar_i^H - 2 c beta-bar and
+    sum_i Y_i S-bar_i^H = A^H X V-bar^H.
+    """
+    m = a.shape[1]
     bars[:m] -= c @ bars[m:]
-    # G_A = X Y-bar^H + B-tilde c-bar^H, G_B = X V-bar^H + A c-bar + 2 B-tilde beta-bar, with
-    # c-bar = -sum_i Y_i S-bar_i^H - 2 c beta-bar and sum_i Y_i S-bar_i^H = A^H X V-bar^H.
     g_ab = x_flat @ adjoint(bars)
     c_bar = -(adjoint(a) @ g_ab[:, m:]) - 2.0 * (c @ beta_bar)
-    return loss, (g_ab[:, :m] + b_tilde @ adjoint(c_bar), g_ab[:, m:] + a @ c_bar + 2.0 * (b_tilde @ beta_bar))
+    return g_ab[:, :m] + b_tilde @ adjoint(c_bar), g_ab[:, m:] + a @ c_bar + 2.0 * (b_tilde @ beta_bar)
 
 
 def build_affinity(labels, distances: np.ndarray, k_w: int = 5, k_b: int = 5) -> np.ndarray:

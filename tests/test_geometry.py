@@ -76,16 +76,24 @@ def frechet_mean_by_lapack(stacked):
     flat = stacked.transpose(1, 0, 2).reshape(stacked.shape[1], -1)
     mu = np.linalg.svd(flat, full_matrices=False)[0][:, : stacked.shape[2]]
     for _ in range(geometry.KARCHER_MAX_ITER):
-        u, c, vh = np.linalg.svd(adjoint(mu) @ stacked)
-        resid = stacked @ adjoint(vh) - mu @ (u * c[:, None, :])
-        sin = np.linalg.norm(resid, axis=1)
-        ratio = np.divide(np.arctan2(sin, c), sin, out=np.ones_like(sin), where=sin > 0)
-        grad = (resid @ (ratio[:, :, None] * adjoint(u))).mean(axis=0)
-        if np.linalg.norm(grad) <= geometry.KARCHER_TOL:
+        next_mu = karcher_step_by_lapack(mu, stacked)
+        if next_mu is None:
             return mu
-        hu, hs, hvh = np.linalg.svd(grad, full_matrices=False)
-        mu = canonical_qr_by_lapack((mu @ adjoint(hvh)) * np.cos(hs) + hu * np.sin(hs))
+        mu = next_mu
     raise AssertionError("the reference Karcher iteration did not converge")
+
+
+def karcher_step_by_lapack(mu, stacked):
+    """One sweep of ``frechet_mean_by_lapack`` at ``mu``: the next iterate, or None at ``KARCHER_TOL``."""
+    u, c, vh = np.linalg.svd(adjoint(mu) @ stacked)
+    resid = stacked @ adjoint(vh) - mu @ (u * c[:, None, :])
+    sin = np.linalg.norm(resid, axis=1)
+    ratio = np.divide(np.arctan2(sin, c), sin, out=np.ones_like(sin), where=sin > 0)
+    grad = (resid @ (ratio[:, :, None] * adjoint(u))).mean(axis=0)
+    if np.linalg.norm(grad) <= geometry.KARCHER_TOL:
+        return None
+    hu, hs, hvh = np.linalg.svd(grad, full_matrices=False)
+    return canonical_qr_by_lapack((mu @ adjoint(hvh)) * np.cos(hs) + hu * np.sin(hs))
 
 
 def angles_oracle(x, y):
@@ -568,6 +576,33 @@ class TestFrechetMean:
         mu, ref = g.frechet_mean(stacked).basis, frechet_mean_by_lapack(stacked)
         # The two bases may differ by a unit factor, so compare spans: the sine between them.
         assert np.linalg.norm(ref - mu @ (adjoint(mu) @ ref)) <= 1e-12
+
+    @pytest.mark.parametrize("field", FIELDS)
+    def test_single_column_point_orthogonal_to_the_start(self, field):
+        # A cluster in span(e_1 .. e_5) plus e_6: the start lies in the cluster's span, so c = 0 for e_6,
+        # whose log map at the start takes u = 1 (LAPACK's zero-column rule) and angle pi/2.
+        rng = np.random.default_rng(28)
+        z = gaussian_stack(rng, (12, 6, 1), field)
+        z[:, -1] = 0.0
+        z[:, 0] += 2.0
+        e6 = np.zeros((1, 6, 1), dtype=z.dtype)
+        e6[0, -1] = 1.0
+        stacked = np.concatenate((g.orthonormal_columns(z), e6))
+        start = _leading_left_singular_vectors(stacked, 1)
+        assert (adjoint(start) @ e6[0]).item() == 0.0
+        step = geometry._karcher_step_columns(start, geometry._columns(stacked))
+        assert np.abs(step - karcher_step_by_lapack(start, stacked)).max() <= 1e-14
+        mu, ref = g.frechet_mean(stacked).basis, frechet_mean_by_lapack(stacked)
+        assert np.linalg.norm(ref - mu @ (adjoint(mu) @ ref)) <= 1e-12
+        assert abs(mu[-1, 0]) > 0.05  # the sweep moved toward e_6
+
+    def test_single_column_phases_do_not_move_the_mean(self):
+        rng = np.random.default_rng(30)
+        line = gaussian_stack(rng, (20, 1), "complex")
+        stacked = g.orthonormal_columns(line + 0.4 * gaussian_stack(rng, (30, 20, 1), "complex"))
+        phased = stacked * np.exp(2j * np.pi * rng.random((30, 1, 1)))
+        mu, moved = g.frechet_mean(stacked).basis, g.frechet_mean(phased).basis
+        assert np.linalg.norm(moved - mu @ (adjoint(mu) @ moved)) <= 1e-12
 
 
 class TestDataset:

@@ -290,19 +290,117 @@ class TestUnsupervisedLoss:
         l2, _ = unsupervised_loss_and_grad(a, bt + a @ c, stacked, "projection")
         assert abs(l1 - l2) < 1e-10
 
+    @pytest.mark.parametrize("p", (2, 1))  # p = 1 takes the column path
     @pytest.mark.parametrize("field", ("real", "complex"))
     @pytest.mark.parametrize("metric", ("projection", "geodesic"))
-    def test_gradients_match_finite_differences(self, field, metric):
+    def test_gradients_match_finite_differences(self, field, metric, p):
         rng = np.random.default_rng(16)
-        pts = random_dataset(rng, 6, 8, 2, field)
+        pts = random_dataset(rng, 6, 8, p, field)
         stacked = stack_points(pts)
         a = g.sample_stiefel_uniform(8, 4, field, rng=rng).basis
-        bt = 0.3 * rng.standard_normal((8, 2)).astype(a.dtype)
+        bt = 0.3 * rng.standard_normal((8, p)).astype(a.dtype)
 
         def loss(a_, b_):
             return unsupervised_loss_and_grad(a_, b_, stacked, metric)
 
         assert check_gradient(loss, a, bt, rng=rng) < 1e-5
+
+
+class TestSingleColumnLoss:
+    """The p = 1 loss on the column matrix (``_unsupervised_columns``) against the (N, 1, 1) block path."""
+
+    @pytest.mark.parametrize("field", ("real", "complex"))
+    @pytest.mark.parametrize("metric", ("projection", "geodesic"))
+    @pytest.mark.parametrize("b_scale", (0.0, 0.3))
+    def test_matches_the_stacked_path(self, field, metric, b_scale):
+        rng = np.random.default_rng(20)
+        stacked = stack_points(random_dataset(rng, 40, 10, 1, field))
+        nmap = random_map(rng, 10, 3, 1, field, b_scale)
+        bt = nmap.B + b_scale * (nmap.A @ rng.standard_normal((3, 1)))  # a part in span(A): c = A^H B-tilde != 0
+        got = nested._unsupervised_columns(nmap.A, bt, stacked, metric)
+        ref = nested._unsupervised_stacked(nmap.A, bt, stacked, metric)
+        assert got[0] == pytest.approx(ref[0], rel=1e-13)
+        for grad, grad_ref in zip(got[1], ref[1], strict=True):
+            assert grad.shape == grad_ref.shape
+            assert np.abs(grad - grad_ref).max() <= 1e-13 * np.abs(grad_ref).max()
+
+    @pytest.mark.parametrize("metric", ("projection", "geodesic"))
+    @pytest.mark.parametrize("b_in_range", (False, True))
+    def test_point_orthogonal_to_a_and_b_tilde_names_the_same_index(self, metric, b_in_range):
+        # X_4 is orthogonal to span([A B-tilde]); with B-tilde = 0 or inside span(A) its reconstruction
+        # A A^H X_4 + (I - A A^H) B-tilde is zero, so W_4 = 0 exactly.
+        rng = np.random.default_rng(22)
+        n, m = 7, 3
+        a = np.eye(n)[:, :m]
+        bt = a @ np.array([[0.5], [0.25], [0.0]]) if b_in_range else np.zeros((n, 1))
+        stacked = stack_points(random_dataset(rng, 6, n, 1))
+        stacked[4] = np.eye(n)[:, m:m + 1]
+        for kernel in (nested._unsupervised_columns, nested._unsupervised_stacked):
+            with pytest.raises(DegenerateProjectionError, match="data point 4") as info:
+                kernel(a, bt, stacked, metric)
+            assert info.value.index == 4
+
+    def test_point_orthogonal_to_a_with_b_off_the_range_is_reconstructed_as_b(self):
+        rng = np.random.default_rng(22)
+        n, m = 7, 3
+        a, bt = np.eye(n)[:, :m], np.eye(n)[:, m + 1:m + 2]
+        stacked = stack_points(random_dataset(rng, 6, n, 1))
+        stacked[4] = np.eye(n)[:, m:m + 1]  # orthogonal to A and B: at angle pi/2 from span(B)
+        for metric, d2 in (("projection", 1.0), ("geodesic", (np.pi / 2) ** 2)):
+            loss, _ = nested._unsupervised_columns(a, bt, stacked, metric)
+            rest, _ = nested._unsupervised_columns(a, bt, np.delete(stacked, 4, axis=0), metric)
+            assert loss == pytest.approx((5 * rest + d2) / 6, rel=1e-13)
+
+    @pytest.mark.parametrize("metric", ("projection", "geodesic"))
+    def test_nan_point_fails_the_rank_test(self, metric):
+        rng = np.random.default_rng(23)
+        stacked = stack_points(random_dataset(rng, 6, 7, 1))
+        stacked[2, 3] = np.nan
+        nmap = random_map(rng, 7, 3, 1)
+        with pytest.raises(DegenerateProjectionError) as info:
+            nested._unsupervised_columns(nmap.A, nmap.B, stacked, metric)
+        assert info.value.index == 2
+
+
+class TestNoLapackForSingleColumns:
+    """At p = 1 the losses and the Karcher sweeps make no LAPACK call (eigh, svd or qr)."""
+
+    @pytest.mark.parametrize("field", ("real", "complex"))
+    @pytest.mark.parametrize("metric", ("projection", "geodesic"))
+    def test_losses(self, monkeypatch, field, metric):
+        rng = np.random.default_rng(24)
+        stacked = stack_points(random_dataset(rng, 12, 8, 1, field))
+        nmap = random_map(rng, 8, 3, 1, field)  # A's draw takes a LAPACK QR, so refuse LAPACK only now
+        affinity = build_affinity(np.arange(12) % 2, g.pairwise_distances(stacked, "projection"), 2, 2)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("LAPACK call in a p = 1 loss")
+
+        for name in ("eigh", "svd", "qr"):
+            monkeypatch.setattr(np.linalg, name, refuse)
+        unsupervised_loss_and_grad(nmap.A, nmap.B, stacked, metric)
+        supervised_loss_and_grad(nmap.A, stacked, affinity, metric)
+
+    @pytest.mark.parametrize("field", ("real", "complex"))
+    def test_karcher_sweeps(self, monkeypatch, field):
+        rng = np.random.default_rng(25)
+        stacked = stack_points(random_dataset(rng, 12, 8, 1, field))
+        svd, calls = np.linalg.svd, []
+
+        def start_only(*args, **kwargs):
+            calls.append(args[0].shape)
+            if len(calls) > 1:
+                raise AssertionError("LAPACK SVD after the Karcher start")
+            return svd(*args, **kwargs)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("LAPACK call in a p = 1 Karcher sweep")
+
+        monkeypatch.setattr(np.linalg, "svd", start_only)
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        monkeypatch.setattr(np.linalg, "qr", refuse)
+        g.frechet_mean(stacked)
+        assert calls == [(8, 12)]
 
 
 def affinity_reference(labels, distances, k_w, k_b):
