@@ -32,7 +32,7 @@ optimizer discards, differs from that of the n-dimensional form.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -190,17 +190,6 @@ def _check_metric(metric: str) -> None:
         raise ShapeError(f"unknown metric {metric!r}; expected one of {METRICS}")
 
 
-def _hermitian_eigh(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``np.linalg.eigh`` of a stack of Hermitian p x p matrices.
-
-    A 1 x 1 matrix needs no LAPACK call: its eigenvalue is its real entry and its eigenvector is 1,
-    which is what LAPACK returns for it.
-    """
-    if h.shape[-1] == 1:
-        return h.real[..., 0], np.ones_like(h)
-    return np.linalg.eigh(h)
-
-
 def _geodesic_terms(lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """theta^2 = arccos(sqrt(lambda))^2 of squared cosines ``lam`` and its derivative in lambda, elementwise."""
     lam = np.clip(lam, 0.0, 1.0)
@@ -217,7 +206,7 @@ def _geodesic_spectrum(phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     are squared principal-angle cosines; the distance is
     sum(arccos(sqrt(lambda))^2) and Psi shares Phi's eigenvectors.
     """
-    lam, vec = _hermitian_eigh(phi)
+    lam, vec = np.linalg.eigh(phi)
     theta2, dphi = _geodesic_terms(lam)
     psi = (vec * dphi[..., None, :]) @ adjoint(vec)
     return theta2.sum(axis=-1), psi
@@ -228,11 +217,14 @@ def _rank_deficient(index: int, what: str) -> DegenerateProjectionError:
 
 
 def _checked_inverse(w: np.ndarray, what: str) -> np.ndarray:
-    """Inverses of a stack of Hermitian Gram matrices, rejecting numerically singular ones."""
-    lam, vec = _hermitian_eigh(w)
-    bad = lam[:, 0] <= _COND_FLOOR * np.maximum(lam[:, -1], np.finfo(float).tiny)
-    if bad.any():
-        raise _rank_deficient(int(np.argmax(bad)), what)
+    """Inverses of a stack of Hermitian Gram matrices, rejecting numerically singular ones.
+
+    The rank test is written "not >" so that a Gram holding a NaN, whose eigenvalues are NaN, fails it.
+    """
+    lam, vec = np.linalg.eigh(w)
+    ok = lam[:, 0] > _COND_FLOOR * np.maximum(lam[:, -1], np.finfo(float).tiny)
+    if not ok.all():
+        raise _rank_deficient(int(np.argmin(ok)), what)
     return (vec / lam[:, None, :]) @ adjoint(vec)
 
 
@@ -396,14 +388,23 @@ def supervised_loss_and_grad(
     T_j = sum_i a_ij Q_i Psi_ij C_ij, the gradient is
     G_A = (2/N^2) sum_j X_j Gamma_j^H with Gamma_j = 2 (I - Q_j Q_j^H) T_j R_j^{-H}.
     Every pairwise product is one GEMM over the m x Np matrix [Q_1 ... Q_N].
+    Single-column data (p = 1) take ``_supervised_columns``, with one number
+    per pair; every other p takes ``_supervised_stacked``.
     Returns (value, (G_A, G_B)) with a zero-width G_B for optimizer reuse.
     """
     _check_metric(metric)
     a = np.asarray(a)
-    n_pts, _, p = stacked.shape
+    n_pts = stacked.shape[0]
     if affinity.shape != (n_pts, n_pts):
         raise ShapeError("affinity size does not match dataset")
+    kernel = _supervised_columns if stacked.shape[2] == 1 else _supervised_stacked
+    value, g_a = kernel(a, stacked, affinity, metric)
+    return value, (g_a, np.zeros((a.shape[0], 0), dtype=a.dtype))
 
+
+def _supervised_stacked(a: np.ndarray, stacked: np.ndarray, affinity: np.ndarray, metric: str):
+    """``supervised_loss_and_grad``'s (value, G_A) on the (N, N, p, p) cosine blocks C_ij, for any p."""
+    n_pts, _, p = stacked.shape
     y = adjoint(a) @ stacked
     winv = _checked_inverse(adjoint(y) @ y, "projection")
     q = _canonical_qr(y)
@@ -421,8 +422,37 @@ def supervised_loss_and_grad(
     t = (q_flat @ weighted).reshape(-1, n_pts, p).transpose(1, 0, 2)
     r_inv_h = (adjoint(q) @ y) @ winv
     gamma = 2.0 * (t - q @ (adjoint(q) @ t)) @ r_inv_h
-    g_a = (2.0 / n_pts**2) * (_columns(stacked) @ adjoint(_columns(gamma)))
-    return value, (g_a, np.zeros((a.shape[0], 0), dtype=a.dtype))
+    return value, (2.0 / n_pts**2) * (_columns(stacked) @ adjoint(_columns(gamma)))
+
+
+def _supervised_columns(a: np.ndarray, stacked: np.ndarray, affinity: np.ndarray, metric: str):
+    """``supervised_loss_and_grad``'s (value, G_A) for single-column data (p = 1), on the n x N column matrix X.
+
+    Every block is a number: Y = A^H X (m x N) with column norms r_i = R_i, Q = Y / r, the cosines
+    C = Q^H Q (N x N) and d^2_ij = 1 - |C_ij|^2, or the elementwise geodesic terms of |C_ij|^2. Then
+    T = Q (a o Psi o C) and Gamma = 2 (T - Q diag(Q^H T)) / r.
+    """
+    x_flat = _columns(stacked)
+    n_pts = x_flat.shape[1]
+    y = adjoint(a) @ x_flat
+    r2 = (y.conj() * y).real.sum(axis=0)
+    # The stacked path's rank test at p = 1, written as "not >" so that a NaN projection fails it too.
+    ok = r2 > _COND_FLOOR * np.maximum(r2, np.finfo(float).tiny)
+    if not ok.all():
+        raise _rank_deficient(int(np.argmin(ok)), "projection")
+    r = np.sqrt(r2)
+    q = y / r
+    cos = adjoint(q) @ q
+    phi = (cos.conj() * cos).real
+    if metric == "projection":
+        d2, psi = 1.0 - phi, -1.0
+    else:
+        d2, psi = _geodesic_terms(phi)
+    value = float((affinity * d2).sum() / n_pts**2)
+
+    t = q @ (affinity * psi * cos)
+    gamma = (2.0 / r) * (t - q * (q.conj() * t).sum(axis=0))
+    return value, (2.0 / n_pts**2) * (x_flat @ adjoint(gamma))
 
 
 # ---------------------------------------------------------------------------
@@ -452,6 +482,11 @@ def _fit_dims(stacked: np.ndarray, m: int) -> tuple[int, int]:
     return n, p
 
 
+def _column_stack(flat: np.ndarray, n_pts: int) -> np.ndarray:
+    """The (N, d, p) stack over the d x Np column matrix ``flat``, whose ``_columns`` is ``flat`` itself."""
+    return flat.reshape(flat.shape[0], n_pts, -1).transpose(1, 0, 2)
+
+
 def _best_of_restarts(
     loss,
     stacked: np.ndarray,
@@ -461,28 +496,49 @@ def _best_of_restarts(
     rng: np.random.Generator | None,
     restarts: int,
 ) -> OptimizeResult:
-    """Minimize ``loss(A, B)`` from several starts and keep the lowest final loss.
+    """Minimize ``loss(A, B, X)`` over the data X from several starts and keep the lowest final loss.
 
     A starts at the m leading left singular vectors of [X_1 ... X_N] and then
     at ``restarts - 1`` uniform Stiefel draws from ``rng``; B (n x ``width``)
-    starts at zero.
+    starts at zero. The n x Np column layout of the data is built once per
+    fit, and X is a stack over it.
+
+    When m <= Np < n the singular-vector start runs in the coordinates of
+    span(X): with U (n x Np) the left singular vectors of the thin SVD that
+    gives the start, it minimizes over the data U^H X_i from A = I[:, :m]
+    and lifts the result to (U A, U B). Both losses have gradients in
+    span(X, A, B), so from a start inside span(X) every projected gradient,
+    retraction and conjugate direction stays there, and in exact arithmetic
+    the reduced run is the full-space fit. Its restart period on steepest
+    descent is the reduced manifold's dimension m(Np - m) + Np ``width``.
+    Random starts leave span(X), so they run in the full space.
     """
     if restarts < 1:
         raise ShapeError(f"restarts must be at least 1, got {restarts}")
-    n = stacked.shape[1]
+    n_pts, n, p = stacked.shape
     field = "complex" if np.iscomplexobj(stacked) else "real"
-    inits = [_leading_left_singular_vectors(stacked, m)]
+    flat = _columns(stacked)
+    reduce = m <= n_pts * p < n
+    u = _leading_left_singular_vectors(stacked, n_pts * p if reduce else m)
+    full = _column_stack(flat, n_pts)
+    if reduce:
+        starts = [(np.eye(n_pts * p, m, dtype=stacked.dtype), _column_stack(adjoint(u) @ flat, n_pts), u)]
+    else:
+        starts = [(u, full, None)]
     if restarts > 1:
         rng = rng or np.random.default_rng(0)
-        inits += [sample_stiefel_uniform(n, m, field, rng=rng).basis for _ in range(restarts - 1)]
+        starts += [(sample_stiefel_uniform(n, m, field, rng=rng).basis, full, None) for _ in range(restarts - 1)]
 
     best: OptimizeResult | None = None
-    for a0 in inits:
+    for a0, data, basis in starts:
+        b0 = np.zeros((a0.shape[0], width), dtype=a0.dtype)
         try:
-            result = minimize(loss, a0, np.zeros((n, width), dtype=stacked.dtype), config)
+            result = minimize(lambda a, b: loss(a, b, data), a0, b0, config)
         except ConvergenceError as exc:
             # Line search stalled at numerical precision: keep the best iterate.
             result = exc.result
+        if basis is not None:
+            result = replace(result, A=basis @ result.A, B=basis @ result.B)
         if best is None or result.loss_trace[-1] < best.loss_trace[-1]:
             best = result
     return best
@@ -501,7 +557,9 @@ def fit_unsupervised(
     Optimizes over span(A) in Gr(m, n) and an unconstrained B-tilde; the
     returned map stores B = (I - A A^H) B-tilde. A is initialized from the
     m leading left singular vectors of the column-stacked data; additional
-    restarts (seeded by ``rng``) keep the best final loss. With B != 0 the loss
+    restarts (seeded by ``rng``) keep the best final loss. When m <= Np < n
+    the singular-vector start runs, exactly, in the coordinates of
+    span(X_1 ... X_N) (``_best_of_restarts``). With B != 0 the loss
     depends on the bases, not only the subspaces: span(A A^H X_i + B) moves when
     X_i becomes X_i Q_i (for p = 1, a sign flip), and so may the fit. Permuting
     the points, or mapping them all by one ambient unitary, changes nothing.
@@ -511,8 +569,8 @@ def fit_unsupervised(
     _, p = _fit_dims(ds.stacked, m)
     ds.variance  # a dataset without a Karcher mean fails here, before the fit
 
-    def loss(a, b):
-        return unsupervised_loss_and_grad(a, b, ds.stacked, metric)
+    def loss(a, b, data):
+        return unsupervised_loss_and_grad(a, b, data, metric)
 
     best = _best_of_restarts(loss, ds.stacked, m, p, config, rng, restarts)
     nmap = NestedMap.from_unprojected(best.A, best.B)
@@ -551,8 +609,8 @@ def fit_supervised(
     distances = pairwise_distances(ds, metric="projection")
     affinity = build_affinity(labels, distances, k_w, k_b)
 
-    def loss(a, b):
-        return supervised_loss_and_grad(a, stacked, affinity, metric)
+    def loss(a, b, data):
+        return supervised_loss_and_grad(a, data, affinity, metric)
 
     best = _best_of_restarts(loss, stacked, m, 0, config, rng, restarts)
     nmap = NestedMap(best.A, np.zeros((n, p), dtype=stacked.dtype))

@@ -403,6 +403,93 @@ class TestNoLapackForSingleColumns:
         assert calls == [(8, 12)]
 
 
+class TestRankTestRejectsNaN:
+    """A Gram matrix holding a NaN fails the rank test and names its point, at p = 1 and at p > 1."""
+
+    @pytest.mark.parametrize("p", (1, 2))
+    def test_nan_gram(self, p):
+        grams = np.stack([np.eye(p)] * 4)
+        grams[2, 0, 0] = np.nan
+        with pytest.raises(DegenerateProjectionError, match="data point 2") as info:
+            nested._checked_inverse(grams, "projection")
+        assert info.value.index == 2
+
+    @pytest.mark.parametrize("metric", ("projection", "geodesic"))
+    def test_nan_point_in_the_stacked_losses(self, metric):
+        rng = np.random.default_rng(26)
+        stacked = stack_points(random_dataset(rng, 6, 7, 2))
+        stacked[3, 1, 0] = np.nan
+        nmap = random_map(rng, 7, 3, 2)
+        affinity = np.ones((6, 6)) - np.eye(6)
+        for loss in (
+            lambda: unsupervised_loss_and_grad(nmap.A, nmap.B, stacked, metric),
+            lambda: supervised_loss_and_grad(nmap.A, stacked, affinity, metric),
+        ):
+            with pytest.raises(DegenerateProjectionError, match="data point 3") as info:
+                loss()
+            assert info.value.index == 3
+
+
+def supervised_blocks_reference(a, stacked, affinity, metric):
+    """The supervised loss at p = 1 on (N, N, 1, 1) cosine blocks: per-point QR, per-pair 1 x 1 spectra."""
+    n_pts = stacked.shape[0]
+    y = adjoint(a) @ stacked
+    r = np.linalg.norm(y, axis=1, keepdims=True)  # R_i of Y_i = Q_i R_i
+    q = y / r
+    cos = np.einsum("imp,jmq->ijpq", q.conj(), q)
+    lam, vec = np.linalg.eigh(cos @ adjoint(cos))
+    lam = np.clip(lam, 0.0, 1.0)
+    theta = np.arccos(np.sqrt(lam))
+    if metric == "projection":
+        d2, dlam = 1.0 - lam, -np.ones_like(lam)
+    else:
+        sin = np.sqrt(1.0 - lam)
+        d2, dlam = theta**2, -np.where(sin > 1e-12, theta / np.where(sin > 1e-12, sin, 1.0), 1.0) / np.sqrt(lam)
+    psi = (vec * dlam[..., None, :]) @ adjoint(vec)
+    value = (affinity * d2[..., 0]).sum() / n_pts**2
+    t = np.einsum("ij,imp,ijpq->jmq", affinity, q, psi @ cos)
+    gamma = 2.0 * (t - q @ (adjoint(q) @ t)) / r
+    return value, (2.0 / n_pts**2) * np.einsum("inp,imp->nm", stacked, gamma.conj())
+
+
+class TestSingleColumnSupervisedLoss:
+    """The p = 1 supervised loss on the column matrix (``_supervised_columns``)."""
+
+    @pytest.mark.parametrize("field", ("real", "complex"))
+    @pytest.mark.parametrize("metric", ("projection", "geodesic"))
+    def test_matches_the_block_reference(self, field, metric):
+        rng = np.random.default_rng(27)
+        stacked = stack_points(random_dataset(rng, 30, 10, 1, field))
+        a = g.sample_stiefel_uniform(10, 4, field, rng=rng).basis
+        affinity = build_affinity(np.arange(30) % 3, g.pairwise_distances(stacked, "projection"), 3, 3)
+        value, (grad, grad_b) = supervised_loss_and_grad(a, stacked, affinity, metric)
+        value_ref, grad_ref = supervised_blocks_reference(a, stacked, affinity, metric)
+        assert value == pytest.approx(value_ref, rel=1e-13)
+        assert grad.shape == grad_ref.shape and grad_b.shape == (10, 0)
+        assert np.abs(grad - grad_ref).max() <= 1e-13 * np.abs(grad_ref).max()
+
+    @pytest.mark.parametrize("metric", ("projection", "geodesic"))
+    def test_zero_projection_names_its_point(self, metric):
+        rng = np.random.default_rng(28)
+        n, m = 7, 3
+        a = np.eye(n)[:, :m]
+        stacked = stack_points(random_dataset(rng, 6, n, 1))
+        stacked[4] = np.eye(n)[:, m:m + 1]  # A^H X_4 = 0
+        with pytest.raises(DegenerateProjectionError, match="data point 4") as info:
+            supervised_loss_and_grad(a, stacked, np.ones((6, 6)), metric)
+        assert info.value.index == 4
+
+    @pytest.mark.parametrize("metric", ("projection", "geodesic"))
+    def test_nan_projection_names_its_point(self, metric):
+        rng = np.random.default_rng(29)
+        stacked = stack_points(random_dataset(rng, 6, 7, 1))
+        stacked[2, 3] = np.nan
+        a = g.sample_stiefel_uniform(7, 3, rng=rng).basis
+        with pytest.raises(DegenerateProjectionError, match="data point 2") as info:
+            supervised_loss_and_grad(a, stacked, np.ones((6, 6)), metric)
+        assert info.value.index == 2
+
+
 def affinity_reference(labels, distances, k_w, k_b):
     """Per-row affinity by a stable sort of each row: the loop the selection in ``build_affinity`` replaced."""
     labels = np.asarray(labels)
@@ -761,6 +848,145 @@ class TestWholeFitInvariances:
         v2, (g2, _) = supervised_loss_and_grad(nmap.A, turned.stacked, aff, metric)
         assert abs(v1 - v2) < self.TOL
         assert np.abs(g1 - g2).max() < 1e-8
+
+
+def span_dataset(field, seed, count=40, n=60):
+    """Single-column points near a 12-dimensional subspace of a larger ambient space, so Np < n."""
+    rng = np.random.default_rng(seed)
+    a = g.sample_stiefel_uniform(n, 12, field, rng=rng).basis
+
+    def gaussian(shape):
+        return rng.standard_normal(shape) + (1j * rng.standard_normal(shape) if field == "complex" else 0.0)
+
+    return g.Dataset(g.orthonormal_columns(a @ gaussian((count, 12, 1)) + 0.3 * gaussian((count, n, 1)) + 0.2))
+
+
+def plain_minimization(ds, m, metric, config, affinity=None, a0=None):
+    """The fit from one start over the full (N, n, p) stack, with no change of coordinates."""
+    stacked = ds.stacked
+    if affinity is None:
+        def loss(a, b):
+            return unsupervised_loss_and_grad(a, b, stacked, metric)
+        width = stacked.shape[2]
+    else:
+        def loss(a, b):
+            return supervised_loss_and_grad(a, stacked, affinity, metric)
+        width = 0
+    if a0 is None:
+        a0 = g.geometry._leading_left_singular_vectors(stacked, m)
+    return g.minimize(loss, a0, np.zeros((stacked.shape[1], width), dtype=stacked.dtype), config)
+
+
+class TestSpanCoordinates:
+    """When m <= Np < n the singular-vector start runs on U^H X_i and is lifted to (U A, U B).
+
+    The reduction is exact in exact arithmetic, so its loss traces follow the
+    full-space minimization to rounding; every other start is that
+    minimization bit for bit.
+    """
+
+    @pytest.mark.parametrize("field", ("real", "complex"))
+    @pytest.mark.parametrize("metric", ("projection", "geodesic"))
+    def test_unsupervised_trace_follows_the_full_space_fit(self, monkeypatch, field, metric):
+        # Restart periods 10 * 30 + 40 = 340 (reduced) and 10 * 50 + 60 = 560 (full): neither within 300 iterations.
+        ds = span_dataset(field, seed=50)
+        config = g.OptimizerConfig(max_iter=300)
+        rows, loss = [], nested.unsupervised_loss_and_grad
+
+        def recording(a, b, data, metric):
+            rows.append(data.shape[1])
+            return loss(a, b, data, metric)
+
+        monkeypatch.setattr(nested, "unsupervised_loss_and_grad", recording)
+        report = g.fit_unsupervised(ds, 10, metric, config=config)
+        monkeypatch.undo()
+        assert set(rows) == {40}
+        full = plain_minimization(ds, 10, metric, config)
+        assert report.iterations == full.iterations == 300
+        assert np.abs(np.subtract(report.loss_trace, full.loss_trace)).max() <= 1e-12 * full.loss_trace[-1]
+
+    @pytest.mark.parametrize("field", ("real", "complex"))
+    @pytest.mark.parametrize("metric", ("projection", "geodesic"))
+    def test_supervised_iterates_follow_the_full_space_fit(self, field, metric):
+        ds = span_dataset(field, seed=51)
+        labels = np.arange(len(ds)) % 2
+        affinity = build_affinity(labels, g.pairwise_distances(ds, "projection"), 5, 5)
+        config = g.OptimizerConfig(max_iter=10)
+        report = g.fit_supervised(ds, labels, 10, metric, config=config)
+        full = plain_minimization(ds, 10, metric, config, affinity)
+        assert len(report.loss_trace) == len(full.loss_trace) == 11
+        assert np.abs(np.subtract(report.loss_trace, full.loss_trace)).max() <= 1e-12 * abs(full.loss_trace[0])
+        assert np.abs(report.map.A - full.A).max() < 1e-12
+
+    @pytest.mark.parametrize("field", ("real", "complex"))
+    def test_lifted_map_is_orthonormal_in_the_span_with_b_in_the_nullspace(self, field):
+        ds = span_dataset(field, seed=52)
+        nmap = g.fit_unsupervised(ds, 10, config=g.OptimizerConfig(max_iter=50)).map
+        flat = ds.stacked[..., 0].T
+        u = np.linalg.svd(flat, full_matrices=False)[0]
+        assert np.abs(adjoint(nmap.A) @ nmap.A - np.eye(10)).max() < 1e-13
+        assert np.abs(adjoint(nmap.A) @ nmap.B).max() < 1e-13
+        assert np.abs(nmap.B).max() > 0.01
+        for part in (nmap.A, nmap.B):
+            assert np.abs(part - u @ (adjoint(u) @ part)).max() < 1e-13
+
+    @pytest.mark.parametrize("count, n, m, p", [(20, 7, 3, 1), (20, 7, 3, 2), (4, 10, 5, 1)])
+    @pytest.mark.parametrize("metric", ("projection", "geodesic"))
+    def test_full_space_fits_are_the_plain_minimization_bit_for_bit(self, count, n, m, p, metric):
+        # Np >= n, or m > Np (the start padded past the data's rank): no change of coordinates.
+        ds, _ = structured_dataset("complex", p, seed=53, count=count, n=n)
+        config = g.OptimizerConfig(max_iter=30)
+        report = g.fit_unsupervised(ds, m, metric, config=config)
+        full = plain_minimization(ds, m, metric, config)
+        assert report.loss_trace == full.loss_trace
+        assert np.array_equal(report.map.A, full.A)
+        assert np.array_equal(report.map.B, NestedMap.from_unprojected(full.A, full.B).B)
+        labels = np.arange(count) % 2
+        affinity = build_affinity(labels, g.pairwise_distances(ds, "projection"), 5, 5)
+        report = g.fit_supervised(ds, labels, m, metric, config=config)
+        full = plain_minimization(ds, m, metric, config, affinity)
+        assert report.loss_trace == full.loss_trace
+        assert np.array_equal(report.map.A, full.A)
+
+    def test_random_restarts_stay_in_the_full_space_bit_for_bit(self, monkeypatch):
+        ds = span_dataset("real", seed=54)
+        config = g.OptimizerConfig(max_iter=20)
+        runs, minimize = [], nested.minimize
+
+        def recording(loss, a, b, config=None):
+            runs.append((a, minimize(loss, a, b, config)))
+            return runs[-1][1]
+
+        monkeypatch.setattr(nested, "minimize", recording)
+        g.fit_unsupervised(ds, 10, config=config, rng=np.random.default_rng(7), restarts=3)
+        monkeypatch.undo()
+        assert runs[0][0].shape == (40, 10)
+        draws = np.random.default_rng(7)
+        for a0, result in runs[1:]:
+            draw = g.sample_stiefel_uniform(60, 10, rng=draws).basis
+            full = plain_minimization(ds, 10, "projection", config, a0=draw)
+            assert np.array_equal(a0, draw)
+            assert result.loss_trace == full.loss_trace
+            assert np.array_equal(result.A, full.A) and np.array_equal(result.B, full.B)
+
+    def test_restart_period_is_the_reduced_dimension_above_the_shapes_cap(self, monkeypatch):
+        # The shapes pipeline fits Gr(1, C^99) at m = 11 from 40 shapes: CG restarts every
+        # m (Np - m) + Np width = 359 (ng) and 319 (sNG) iterations, above the 300-iteration default.
+        shapes, labels = g.two_class_shapes(40, 100, rng=np.random.default_rng(0))
+        points = g.kads_to_grassmann(shapes)
+        periods, minimize = [], nested.minimize
+
+        def recording(loss, a, b, config=None):
+            (rows, m), width = a.shape, b.shape[1]
+            periods.append(m * (rows - m) + rows * width)
+            return minimize(loss, a, b, config)
+
+        monkeypatch.setattr(nested, "minimize", recording)
+        config = g.OptimizerConfig(max_iter=1)
+        g.fit_unsupervised(points, 11, config=config)
+        g.fit_supervised(points, labels, 11, config=config)
+        assert periods == [359, 319]
+        assert min(periods) > g.OptimizerConfig().max_iter
 
 
 class TestVariance:
